@@ -7,9 +7,9 @@ JSON (default ``BENCH_PR8.json``):
   forward + reverse columnar tables;
 * the columnar batch cut fill vs per-interval folds (speedup at
   k = 256 intervals, interval construction excluded from both sides);
-* serial planner vs :class:`~repro.core.parallel.ParallelBatchExecutor`
-  queries/sec on a >= 10k-query batch — recorded as a serial fallback
-  (no pool numbers) when the clamped worker count is 1;
+* ``batch_planner``: queries/sec through the serial
+  :meth:`~repro.core.evaluator.SynchronizationAnalyzer.batch_holds`
+  planner on a >= 10k-query batch;
 * ``online_ingest``: streaming events/sec through
   :class:`~repro.monitor.online.OnlineMonitor` (ingest + per-close
   verdicts + zero-copy finalisation) vs the rebuild-per-close baseline,
@@ -34,7 +34,7 @@ JSON (default ``BENCH_PR8.json``):
 Usage::
 
     PYTHONPATH=src python scripts/bench_report.py [--out BENCH_PR8.json]
-        [--jobs 4] [--quick] [--backend reachability]
+        [--quick] [--backend reachability]
         [--baseline BENCH_PR4.json]
 
 ``--backend`` pins the causality backend answering the standard
@@ -42,11 +42,11 @@ sections (via the ``best_of`` environment knob); every section records
 the host metadata (cpu count, numpy version, backend) it ran under.
 
 ``--quick`` shrinks every workload (CI smoke sizes).  Speedups are
-reported as measured — single-core hosts record the serial fallback for
-the parallel section and that is the honest number.
+reported as measured.
 
 ``--baseline PRIOR.json`` additionally diffs the current gated rates
-(``clock_build``, ``cut_fill``, ``backend_*``, ``family_query``)
+(``clock_build``, ``cut_fill``, ``batch_planner``, ``backend_*``,
+``family_query``, ``service_ingest``)
 against a prior report and exits nonzero on a >25% regression (sections
 whose workload sizes differ are skipped with a note, so quick runs are
 only compared against quick baselines).
@@ -72,7 +72,6 @@ from repro.core.cuts import cut_stats, cuts_of  # noqa: E402
 from repro.core.evaluator import SynchronizationAnalyzer  # noqa: E402
 from repro.core.hierarchy import evaluate_all_pruned, maximal_true  # noqa: E402
 from repro.core.linear import LinearEvaluator  # noqa: E402
-from repro.core.parallel import ParallelBatchExecutor  # noqa: E402
 from repro.core.relations import BASE_RELATIONS, FAMILY32, parse_spec  # noqa: E402
 from repro.events.clocks import (  # noqa: E402
     clock_pass_counts,
@@ -142,9 +141,7 @@ def bench_cut_fill(nodes: int, events: int, k: int, reps: int) -> dict:
     }
 
 
-def bench_parallel(
-    nodes: int, events: int, k: int, jobs: int, reps: int
-) -> dict:
+def bench_batch_planner(nodes: int, events: int, k: int, reps: int) -> dict:
     ex = Execution(random_trace(nodes, events_per_node=events, seed=11))
     intervals = disjoint_intervals(ex, k)
     spec = parse_spec("R1(U,L)")
@@ -152,35 +149,14 @@ def bench_parallel(
         (spec, x, y) for x in intervals for y in intervals if x is not y
     ]
     an = SynchronizationAnalyzer(ex, check_disjoint=False)
-    an.batch_holds(queries)  # warm the serial planner's caches
-
-    serial_t, serial = best_of(lambda: an.batch_holds(queries), reps=reps)
+    an.batch_holds(queries)  # warm the planner's caches
+    serial_t, _ = best_of(lambda: an.batch_holds(queries), reps=reps)
     n = len(queries)
-    out = {
+    return {
         "queries": n,
-        "jobs_requested": jobs,
-        "cores": os.cpu_count() or 1,
         "serial_ms": serial_t * 1e3,
         "serial_queries_per_sec": n / serial_t,
     }
-    with ParallelBatchExecutor(ex, jobs=jobs, min_parallel=1) as px:
-        out["jobs"] = px.jobs
-        if px.jobs <= 1:
-            # clamped to a single worker: a pool would only add overhead,
-            # so the executor takes its serial path — record that rather
-            # than a meaningless "parallel" number.
-            out["mode"] = "serial-fallback"
-            return out
-        out["mode"] = "parallel"
-        px.execute(queries[:64])  # pool + shared-memory startup
-        parallel_t, parallel = best_of(lambda: px.execute(queries), reps=reps)
-    assert parallel == serial, "parallel executor disagrees with planner"
-    out.update({
-        "parallel_ms": parallel_t * 1e3,
-        "parallel_queries_per_sec": n / parallel_t,
-        "speedup": serial_t / parallel_t,
-    })
-    return out
 
 
 def bench_online_ingest(
@@ -385,6 +361,8 @@ _GATED = (
      lambda s: s["events_per_sec"]),
     ("cut_fill", ("intervals",),
      lambda s: s["intervals"] / s["columnar_ms"]),
+    ("batch_planner", ("queries",),
+     lambda s: s["serial_queries_per_sec"]),
     ("backend_sparse", ("nodes", "events", "intervals", "query_reps"),
      lambda s: s["events"] / s[s["winner"]]["total_ms"]),
     ("backend_dense", ("nodes", "events", "intervals", "query_reps"),
@@ -437,9 +415,6 @@ def compare_baseline(report: dict, baseline: dict, threshold: float) -> list:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="BENCH_PR8.json")
-    ap.add_argument("--jobs", type=int, default=4,
-                    help="worker processes for the parallel benchmark "
-                         "(clamped to the core count)")
     ap.add_argument("--backend", default=None,
                     choices=["vector", "reachability"],
                     help="causality backend for the standard sections "
@@ -463,7 +438,7 @@ def main(argv=None) -> int:
     backend = default_backend_name()
 
     if args.quick:
-        sizes = dict(nodes=8, events=16, fill_k=32, par_k=32, reps=2,
+        sizes = dict(nodes=8, events=16, fill_k=32, plan_k=32, reps=2,
                      stream_nodes=8, stream_events=60, chunk=20,
                      fam_nodes=12, fam_events=8, fam_pairs=4,
                      sp_nodes=16, sp_events=40, sp_k=8,
@@ -471,7 +446,7 @@ def main(argv=None) -> int:
                      svc_nodes=4, svc_events=40, svc_clients=2,
                      svc_chunk=20, svc_reps=1)
     else:
-        sizes = dict(nodes=16, events=64, fill_k=256, par_k=128, reps=5,
+        sizes = dict(nodes=16, events=64, fill_k=256, plan_k=128, reps=5,
                      stream_nodes=8, stream_events=1250, chunk=125,
                      fam_nodes=12, fam_events=8, fam_pairs=16,
                      sp_nodes=48, sp_events=150, sp_k=16,
@@ -494,9 +469,8 @@ def main(argv=None) -> int:
         "cut_fill": bench_cut_fill(
             sizes["nodes"], sizes["events"], sizes["fill_k"], sizes["reps"]
         ),
-        "parallel_batch": bench_parallel(
-            sizes["nodes"], sizes["events"], sizes["par_k"],
-            args.jobs, sizes["reps"],
+        "batch_planner": bench_batch_planner(
+            sizes["nodes"], sizes["events"], sizes["plan_k"], sizes["reps"],
         ),
         "online_ingest": bench_online_ingest(
             sizes["stream_nodes"], sizes["stream_events"], sizes["chunk"],
@@ -559,8 +533,8 @@ def main(argv=None) -> int:
         json.dump(report, fh, indent=2)
         fh.write("\n")
 
-    cb, cf, pb = (
-        report["clock_build"], report["cut_fill"], report["parallel_batch"]
+    cb, cf, bp = (
+        report["clock_build"], report["cut_fill"], report["batch_planner"]
     )
     oi = report["online_ingest"]
     print(f"wrote {args.out}")
@@ -568,15 +542,8 @@ def main(argv=None) -> int:
           f"({cb['events']} events in {cb['build_ms']:.2f} ms)")
     print(f"  cut fill:       {cf['speedup']:.1f}x columnar vs folds "
           f"({cf['intervals']} intervals)")
-    if pb["mode"] == "serial-fallback":
-        print(f"  parallel batch: serial fallback (1 effective worker on "
-              f"{pb['cores']} core(s); "
-              f"{pb['serial_queries_per_sec']:,.0f} queries/sec)")
-    else:
-        print(f"  parallel batch: {pb['speedup']:.2f}x vs serial planner "
-              f"({pb['queries']} queries, jobs={pb['jobs']}, "
-              f"{pb['cores']} cores; "
-              f"{pb['parallel_queries_per_sec']:,.0f} queries/sec)")
+    print(f"  batch planner:  {bp['serial_queries_per_sec']:,.0f} queries/sec "
+          f"({bp['queries']} queries in {bp['serial_ms']:.2f} ms)")
     print(f"  online ingest:  {oi['online_events_per_sec']:,.0f} events/sec "
           f"streaming, {oi['speedup']:.1f}x vs rebuild-per-close "
           f"({oi['events']} events, {oi['closes']} closes; "

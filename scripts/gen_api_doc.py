@@ -27,7 +27,7 @@ MODULES = [
     "repro.core.naive", "repro.core.polynomial", "repro.core.linear",
     "repro.core.evaluator", "repro.core.explain", "repro.core.counting",
     "repro.core.hierarchy", "repro.core.axioms", "repro.core.pairwise",
-    "repro.core.parallel", "repro.core.idioms",
+    "repro.core.idioms",
     "repro.monitor", "repro.monitor.predicates", "repro.monitor.checker",
     "repro.monitor.online",
     "repro.service", "repro.service.protocol", "repro.service.log",

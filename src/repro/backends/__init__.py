@@ -32,7 +32,7 @@ from .base import (
 )
 from .reachability import ReachabilityBackend
 from .reduction import CommutativityRules, TraceReduction, reduce_trace
-from .stats import CutStats, cut_stats_from_arrays, cut_stats_from_extrema
+from .stats import CutStats
 from .vector import VectorClockBackend, vector_cut_stats
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
     "StreamingClockTable",
     "TraceReduction",
     "VectorClockBackend",
-    "cut_stats_from_arrays",
-    "cut_stats_from_extrema",
     "default_backend_name",
     "make_backend",
     "make_streaming_table",

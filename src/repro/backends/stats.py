@@ -3,17 +3,11 @@
 :class:`CutStats` is the stacked per-interval answer every causality
 backend produces for a batched cut fill — the complete per-interval
 state the vectorized relation conditions consume.  The segmented
-gather-and-reduce kernel :func:`_stats_from_extrema` and its raw-array
-entry points (:func:`cut_stats_from_arrays`,
-:func:`cut_stats_from_extrema`) operate on *columnar clock matrices*
-and therefore belong to the vector-clock substrate, but they are kept
-here — below :mod:`repro.core` — so both the in-process
-:class:`~repro.backends.vector.VectorClockBackend` and the
-shared-memory parallel workers (which hold raw matrices and no
-:class:`~repro.events.poset.Execution`) can share one implementation.
-
-Historically these lived in :mod:`repro.core.cuts`, which still
-re-exports them for compatibility.
+gather-and-reduce kernel :func:`_stats_from_extrema` operates on
+*columnar clock matrices* and therefore belongs to the vector-clock
+substrate; it is kept here, next to :func:`flatten_extrema` (the
+shared front half of every backend's batched fill), so the flattening
+layout and the kernel that consumes it cannot drift apart.
 """
 
 from __future__ import annotations
@@ -26,7 +20,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..events.event import EventId
 
 if TYPE_CHECKING:
     from ..nonatomic.event import NonatomicEvent
@@ -34,8 +27,6 @@ if TYPE_CHECKING:
 __all__ = [
     "CutStats",
     "flatten_extrema",
-    "cut_stats_from_arrays",
-    "cut_stats_from_extrema",
 ]
 
 
@@ -47,9 +38,9 @@ class CutStats:
     interval order they were built from: the four Table-2 cut
     timestamps plus the per-node first/last component indices (0
     encoding "node not in ``N_X``").  This is the complete per-interval
-    state the vectorized relation conditions consume — both the
-    all-pairs kernel (:mod:`repro.core.pairwise`) and the per-pair
-    gather path of the parallel executor.
+    state the vectorized relation conditions consume (the all-pairs
+    kernel of :mod:`repro.core.pairwise` and the family kernel of
+    :mod:`repro.core.family`).
     """
 
     c1: np.ndarray  # T(∩⇓X)
@@ -137,81 +128,3 @@ def _stats_from_extrema(
     for mat in (c1, c2, c3, c4, first, last):
         mat.setflags(write=False)
     return CutStats(c1, c2, c3, c4, first, last)
-
-
-def cut_stats_from_arrays(
-    fwd: np.ndarray,
-    rev: np.ndarray,
-    offsets: np.ndarray,
-    lengths: np.ndarray,
-    id_groups: Sequence[Sequence[EventId]],
-) -> CutStats:
-    """Batched cut fill over raw columnar arrays and raw id groups.
-
-    The substrate-only entry point used by
-    :mod:`repro.core.parallel` workers, which hold the shared-memory
-    clock matrices but no :class:`~repro.events.poset.Execution`.
-    Per-node extremal events are derived from each id group here.
-    """
-    nodes_l: list[int] = []
-    first_l: list[int] = []
-    last_l: list[int] = []
-    counts = np.empty(len(id_groups), dtype=np.intp)
-    for g, ids in enumerate(id_groups):
-        first: dict[int, int] = {}
-        last: dict[int, int] = {}
-        for node, idx in ids:
-            if node not in first or idx < first[node]:
-                first[node] = idx
-            if idx > last.get(node, 0):
-                last[node] = idx
-        counts[g] = len(first)
-        for node in sorted(first):
-            nodes_l.append(node)
-            first_l.append(first[node])
-            last_l.append(last[node])
-    return _stats_from_extrema(
-        fwd, rev,
-        np.asarray(offsets, dtype=np.int64),
-        np.asarray(lengths, dtype=np.int64),
-        np.asarray(nodes_l, dtype=np.int64),
-        np.asarray(first_l, dtype=np.int64),
-        np.asarray(last_l, dtype=np.int64),
-        counts,
-    )
-
-
-def cut_stats_from_extrema(
-    fwd: np.ndarray,
-    rev: np.ndarray,
-    offsets: np.ndarray,
-    lengths: np.ndarray,
-    extrema: Sequence[tuple[Sequence[int], Sequence[int], Sequence[int]]],
-) -> CutStats:
-    """Batched cut fill over raw arrays and precomputed extrema.
-
-    ``extrema[i]`` is ``(nodes, first_indices, last_indices)`` for
-    interval ``i`` — exactly the per-node extremal encoding
-    :class:`~repro.nonatomic.event.NonatomicEvent` precomputes, which
-    the parallel executor ships to workers instead of full component
-    id sets (an interval's wire size is then ``O(|N_X|)``, not
-    ``O(|X|)``).
-    """
-    counts = np.fromiter(
-        (len(nodes) for nodes, _f, _l in extrema), np.intp, count=len(extrema)
-    )
-    nodes = np.fromiter(
-        (n for ns, _f, _l in extrema for n in ns), np.int64, count=counts.sum()
-    )
-    first_idx = np.fromiter(
-        (j for _ns, fs, _l in extrema for j in fs), np.int64, count=counts.sum()
-    )
-    last_idx = np.fromiter(
-        (j for _ns, _f, ls in extrema for j in ls), np.int64, count=counts.sum()
-    )
-    return _stats_from_extrema(
-        fwd, rev,
-        np.asarray(offsets, dtype=np.int64),
-        np.asarray(lengths, dtype=np.int64),
-        nodes, first_idx, last_idx, counts,
-    )

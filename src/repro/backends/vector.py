@@ -43,7 +43,7 @@ def vector_cut_stats(
     equivalence is property-tested — but the fill is a single
     gather-and-reduce over the ``(|E|, |P|)`` matrices instead of a
     per-interval Python fold, which is what the ``≥5x`` cut-fill
-    speedup of ``benchmarks/bench_parallel_batch.py`` measures.
+    speedup of ``benchmarks/bench_setup_amortization.py`` measures.
     """
     for iv in intervals:
         if iv.execution is not execution:

@@ -99,10 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "default: report all 32 + strongest")
     p_rel.add_argument("--engine", default="linear",
                        choices=["naive", "polynomial", "linear"])
-    p_rel.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for batched queries "
-                            "(default 1: serial; batches below the "
-                            "parallel threshold stay serial regardless)")
     p_rel.add_argument("--backend", default=None,
                        choices=["vector", "reachability"],
                        help="causality backend answering the queries "
@@ -120,9 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bind a condition name to an event label")
     p_check.add_argument("--engine", default="linear",
                          choices=["naive", "polynomial", "linear"])
-    p_check.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="worker processes for batched queries "
-                              "(default 1: serial)")
     p_check.add_argument("--backend", default=None,
                          choices=["vector", "reachability"],
                          help="causality backend answering the queries "
@@ -200,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint",
-        help="project-specific static analysis (REP001-REP005)",
+        help="project-specific static analysis (REP001, REP002, REP004-REP009)",
     )
     add_lint_arguments(p_lint)
     return parser
@@ -271,7 +264,7 @@ def _cmd_relations(args) -> int:
     else:
         ctx = _load_context(args.trace, args.backend)
     ex = ctx.execution
-    an = SynchronizationAnalyzer(ctx, engine=args.engine, jobs=args.jobs)
+    an = SynchronizationAnalyzer(ctx, engine=args.engine)
     x = by_label(ex, args.x)
     y = by_label(ex, args.y)
     print(f"X = {args.x!r}: {len(x)} events on nodes {list(x.node_set)}")
@@ -301,11 +294,8 @@ def _cmd_check(args) -> int:
                   file=sys.stderr)
             return 2
         bindings[name] = by_label(ex, label, name=name)
-    an = SynchronizationAnalyzer(ctx, engine=args.engine, jobs=args.jobs)
-    try:
-        report = ConditionChecker(an).check(args.spec, bindings)
-    finally:
-        an.close()
+    an = SynchronizationAnalyzer(ctx, engine=args.engine)
+    report = ConditionChecker(an).check(args.spec, bindings)
     print(report)
     _print_run_stats(ctx)
     return 0 if report.passed else 1

@@ -38,11 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..backends.stats import (  # noqa: F401  (re-exported compatibility API)
-    CutStats,
-    cut_stats_from_arrays,
-    cut_stats_from_extrema,
-)
+from ..backends.stats import CutStats
 from ..backends.vector import vector_cut_stats
 from ..events.event import EventId
 from ..events.poset import Execution
@@ -56,8 +52,6 @@ __all__ = [
     "CutQuadruple",
     "CutStats",
     "cut_stats",
-    "cut_stats_from_arrays",
-    "cut_stats_from_extrema",
     "batch_quadruples",
     "past_cut",
     "future_cut",
@@ -396,11 +390,9 @@ def cuts_of(x: NonatomicEvent) -> CutQuadruple:
 # ----------------------------------------------------------------------
 # columnar batch kernel: all four cuts for a whole interval set at once
 # ----------------------------------------------------------------------
-# The stacked container (CutStats) and the raw-array kernels
-# (cut_stats_from_arrays / cut_stats_from_extrema) now live in
-# repro.backends.stats — below the backend seam — and are re-exported
-# above for compatibility; the Execution-level fill delegates to the
-# vector backend's implementation.
+# The stacked container (CutStats) and the segmented kernel live in
+# repro.backends.stats, below the backend seam; the Execution-level
+# fill delegates to the vector backend's implementation.
 
 
 def cut_stats(
@@ -413,7 +405,7 @@ def cut_stats(
     equivalence is property-tested — but the fill is a single
     gather-and-reduce over the ``(|E|, |P|)`` matrices instead of a
     per-interval Python fold, which is what the ``≥5x`` cut-fill
-    speedup of ``benchmarks/bench_parallel_batch.py`` measures.
+    speedup of ``benchmarks/bench_setup_amortization.py`` measures.
 
     Delegates to
     :func:`~repro.backends.vector.vector_cut_stats` — the vector-clock

@@ -288,16 +288,6 @@ class SynchronizationAnalyzer:
         atomic events — the precondition under which the linear
         conditions are exact.  Disable to explore the boundary
         behaviour the paper glosses (see DESIGN.md §2).
-    jobs:
-        Worker process count for :meth:`batch_holds`.  The default
-        ``1`` keeps everything in-process (the serial planner); with
-        ``jobs > 1`` batches of at least ``parallel_threshold`` queries
-        are sharded across a process pool over shared-memory clock
-        matrices (:class:`~repro.core.parallel.ParallelBatchExecutor`).
-    parallel_threshold:
-        Batch size below which :meth:`batch_holds` stays on the serial
-        planner even when ``jobs > 1`` (pool dispatch overhead
-        dominates small batches).
 
     Examples
     --------
@@ -318,8 +308,6 @@ class SynchronizationAnalyzer:
         proxy_definition: ProxyDefinition = ProxyDefinition.PER_NODE,
         counted: bool = False,
         check_disjoint: bool = True,
-        jobs: int = 1,
-        parallel_threshold: int = 1024,
         **engine_kwargs: object,
     ) -> None:
         if engine not in ENGINES:
@@ -332,9 +320,6 @@ class SynchronizationAnalyzer:
         self.proxy_definition = proxy_definition
         self.counter = ComparisonCounter() if counted else None
         self.check_disjoint = check_disjoint
-        self.jobs = int(jobs) if jobs else 1
-        self.parallel_threshold = int(parallel_threshold)
-        self._parallel = None
         self._engine = ENGINES[engine](
             self.context,
             counter=self.counter,
@@ -354,14 +339,6 @@ class SynchronizationAnalyzer:
             and not engine_kwargs
             else None
         )
-
-    def close(self) -> None:
-        """Release the parallel executor's pool and shared memory, if
-        one was ever spun up.  Safe to call repeatedly; analyzers with
-        ``jobs=1`` hold no resources."""
-        if self._parallel is not None:
-            self._parallel.close()
-            self._parallel = None
 
     # ------------------------------------------------------------------
     # conveniences
@@ -436,27 +413,8 @@ class SynchronizationAnalyzer:
           experiments should query the scalar path).
         * ``check_disjoint`` applies per query, exactly as in
           :meth:`holds`.
-        * With ``jobs > 1`` (constructor), batches of at least
-          ``parallel_threshold`` queries are dispatched to the
-          :class:`~repro.core.parallel.ParallelBatchExecutor` —
-          identical verdicts, sharded across worker processes over
-          shared-memory clock matrices.
         """
         qs = list(queries)
-        if self.jobs > 1 and len(qs) >= self.parallel_threshold:
-            if self._parallel is None:
-                from .parallel import ParallelBatchExecutor
-
-                self._parallel = ParallelBatchExecutor(
-                    self.context,
-                    jobs=self.jobs,
-                    min_parallel=self.parallel_threshold,
-                )
-            return self._parallel.execute(
-                qs,
-                proxy_definition=self.proxy_definition,
-                check_disjoint=self.check_disjoint,
-            )
         out: list[bool] = [False] * len(qs)
         check = self.check_disjoint
 

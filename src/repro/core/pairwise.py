@@ -35,7 +35,7 @@ import numpy as np
 
 from ..nonatomic.event import NonatomicEvent
 from ..nonatomic.proxies import Proxy, ProxyDefinition, proxy_of
-from .cuts import CutStats, cut_stats
+from .cuts import cut_stats
 from .family import RELATION_ROWS, compare_rows, operand_tensor, subtest_matrix
 from .relations import Relation, RelationSpec, subtest_key
 
@@ -49,7 +49,7 @@ _CANON_RELATION = {
     Relation.R4P: Relation.R4,
 }
 
-__all__ = ["IntervalSetMatrices", "relation_matrix", "pairwise_verdicts"]
+__all__ = ["IntervalSetMatrices", "relation_matrix"]
 
 
 class IntervalSetMatrices:
@@ -183,9 +183,8 @@ def _relation_matrix_from(
     """Core broadcasting kernel: rows index X, columns index Y.
 
     The comparison row per relation comes from the shared formula table
-    (:data:`~repro.core.family.RELATION_ROWS`), so this surface, the
-    gather form (:func:`pairwise_verdicts`) and the batched family
-    kernel cannot drift apart.  X-side stacks broadcast as
+    (:data:`~repro.core.family.RELATION_ROWS`), so this surface and the
+    batched family kernel cannot drift apart.  X-side stacks broadcast as
     ``(k, 1, P)``, Y-side as ``(1, k, P)``.
     """
     kind, y_stat, x_stat = RELATION_ROWS[relation]
@@ -202,31 +201,4 @@ def relation_matrix(
     """One-shot convenience wrapper around :class:`IntervalSetMatrices`."""
     return IntervalSetMatrices(intervals).relation_matrix(
         relation, mask_diagonal=mask_diagonal
-    )
-
-
-def pairwise_verdicts(
-    stats: CutStats,
-    relation: Relation,
-    xs: np.ndarray,
-    ys: np.ndarray,
-) -> np.ndarray:
-    """Evaluate ``relation(intervals[xs[q]], intervals[ys[q]])`` for a
-    list of pairs — the gather form of the all-pairs kernel.
-
-    ``stats`` stacks the distinct intervals' cut/extremal vectors
-    (:func:`~repro.core.cuts.cut_stats`); ``xs``/``ys`` are row indices
-    of equal length Q.  Cost is ``O(Q · P)`` with no ``(k, k, P)``
-    tensor, so arbitrary query lists — the
-    :class:`~repro.core.parallel.ParallelBatchExecutor` shards — stay
-    linear in the number of queries even when almost every interval is
-    distinct.  Conditions are identical to
-    :meth:`IntervalSetMatrices.relation_matrix` (the sound
-    full-``|P|``-scan forms).
-    """
-    xs = np.asarray(xs, dtype=np.intp)
-    ys = np.asarray(ys, dtype=np.intp)
-    kind, y_stat, x_stat = RELATION_ROWS[relation]
-    return compare_rows(
-        kind, getattr(stats, y_stat)[ys], getattr(stats, x_stat)[xs]
     )

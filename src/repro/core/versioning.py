@@ -3,7 +3,7 @@
 The paper's linear-time guarantees lean on a repo-wide protocol: every
 structure memoized against an :class:`~repro.events.poset.Execution`
 (cut quadruples, extremal vectors, interval-set stacks, ``≪``-subtest
-verdicts, published shared-memory clocks) records the execution
+verdicts) records the execution
 ``version`` it was filled against and must be invalidated — or at least
 freshness-checked — before it is read or refilled once the execution
 has grown.  A single missed version bump or missed freshness check

@@ -27,32 +27,15 @@ Each structure is one contiguous ``(|E|, |P|)`` int32 matrix — a
 ``offsets[node] + idx - 1`` (node-major, local order within a node).
 One matrix per structure (instead of one small array per event, or one
 matrix per node) is what makes the columnar cut kernels of
-:mod:`repro.core.cuts` single-gather operations and lets
-:mod:`repro.core.parallel` publish the whole substrate zero-copy
-through ``multiprocessing.shared_memory``.  Per-event and per-node
-accessors return views into the matrix, so the historical per-event API
-is preserved without copies.
-
-Pass counters and worker processes
-----------------------------------
-``_PASS_COUNTS`` is a plain module-global dictionary, so it is
-**per-process** state: a worker process forked or spawned by
-:class:`~repro.core.parallel.ParallelBatchExecutor` has its own
-counters (a fork inherits the parent's snapshot at fork time; a spawn
-starts from zero).  Diagnostics that aggregate pass counts across a
-parallel run would therefore report nonsense unless each worker is
-zeroed on startup — the executor's pool initializer calls
-:func:`reset_clock_pass_counts` for exactly that reason, and any custom
-pool should do the same.  :func:`clock_pass_counts` tags its snapshot
-with the reporting ``pid`` so misaggregated numbers are at least
-attributable.
+:mod:`repro.core.cuts` single-gather operations.  Per-event and
+per-node accessors return views into the matrix, so the historical
+per-event API is preserved without copies.
 """
 
 from __future__ import annotations
 
 # repro: hot, dtype-strict
 
-import os
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -75,42 +58,28 @@ __all__ = [
     "reset_clock_pass_counts",
 ]
 
-#: dtype of the columnar clock matrices.  int32 halves the memory and
-#: shared-memory traffic of the previous int64 representation; clock
-#: components count events on one node, so the range is ample.
+#: dtype of the columnar clock matrices.  int32 halves the memory
+#: traffic of the previous int64 representation; clock components count
+#: events on one node, so the range is ample.
 CLOCK_DTYPE = np.int32
 
 #: Number of full/incremental clock passes executed since the last reset
 #: *in this process*, keyed by pass kind.  Purely diagnostic: regression
 #: tests use it to assert that lazy code paths (e.g. the online
 #: monitor's ingestion) never trigger a pass they should not pay for.
-#: See the module docstring for the worker-process contract.
 _PASS_COUNTS: dict[str, int] = {"forward": 0, "reverse": 0, "extend": 0}
 
 
-def clock_pass_counts(include_pid: bool = False) -> dict[str, int]:
+def clock_pass_counts() -> dict[str, int]:
     """A snapshot of this process's pass counters.
 
-    Keys ``forward``/``reverse``/``extend``; with ``include_pid``, also
-    ``pid``, the id of the reporting process.  Counters are per-process
-    (see the module docstring), so consumers aggregating across a
-    worker pool must collect one snapshot per worker rather than read
-    the parent's — the pid tag makes misaggregated numbers attributable.
+    Keys ``forward``/``reverse``/``extend``.
     """
-    snap: dict[str, int] = dict(_PASS_COUNTS)
-    if include_pid:
-        snap["pid"] = os.getpid()
-    return snap
+    return dict(_PASS_COUNTS)
 
 
 def reset_clock_pass_counts() -> None:
-    """Zero this process's pass counters.
-
-    Test-isolation helper, and the per-worker reset hook that
-    :class:`~repro.core.parallel.ParallelBatchExecutor` installs as its
-    pool initializer so forked workers do not inherit (and then
-    re-report) the parent's pre-fork counts.
-    """
+    """Zero this process's pass counters (test-isolation helper)."""
     for key in _PASS_COUNTS:
         _PASS_COUNTS[key] = 0
 
@@ -130,9 +99,7 @@ class ClockTable:
     Row ``offsets[i] + j - 1`` holds the vector timestamp of event
     ``(i, j)``; node ``i``'s rows are the contiguous block
     ``data[offsets[i]:offsets[i+1]]``.  ``data`` is C-contiguous int32
-    and read-only, which makes every accessor a zero-copy view and the
-    whole structure publishable through ``multiprocessing.shared_memory``
-    as a single buffer.
+    and read-only, which makes every accessor a zero-copy view.
     """
 
     __slots__ = ("data", "offsets", "lengths")

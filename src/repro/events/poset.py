@@ -85,18 +85,18 @@ class Execution:
     Both structures are stored columnar — one contiguous ``(|E|, |P|)``
     int32 matrix each (:class:`~repro.events.clocks.ClockTable`),
     exposed via :attr:`forward_table` / :attr:`reverse_table` for the
-    batch cut kernels and the zero-copy parallel executor; the
-    per-event/per-node accessors below are views into those matrices.
+    batch cut kernels; the per-event/per-node accessors below are views
+    into those matrices.
     """
 
     __slots__ = ("_trace", "_fwd", "_rev", "_lengths", "_version", "__weakref__")
 
     # Version-discipline contract enforced by `python -m repro lint`
     # (REP001): growing the substrate must bump `_version` so every
-    # derived cache (CutCache, SharedVerdictCache, published
-    # shared-memory clocks) can detect staleness.  `_rev` is reset to
-    # None on growth rather than freshness-checked on read, so it is
-    # deliberately not registered as a cache.
+    # derived cache (CutCache, SharedVerdictCache) can detect
+    # staleness.  `_rev` is reset to None on growth rather than
+    # freshness-checked on read, so it is deliberately not registered
+    # as a cache.
     _REPRO_VERSIONED = {
         "version": "_version",
         "state": ("_trace", "_fwd", "_lengths"),

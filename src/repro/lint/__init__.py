@@ -4,8 +4,8 @@ A dependency-free (stdlib ``ast``) linter enforcing invariants the
 generic tools cannot see.  Two phases:
 
 * **per-file rules** — cache/version discipline (REP001, REP005), the
-  canonical clock dtype (REP002), shared-memory lifecycles (REP003),
-  hot-path hygiene (REP004), socket lifecycles (REP006);
+  canonical clock dtype (REP002), hot-path hygiene (REP004), socket
+  lifecycles (REP006);
 * **project rules** (``--project``) — a whole-program symbol index and
   call graph (:mod:`repro.lint.project`) powering blocking-call-in-
   coroutine detection (REP007), task-lifecycle checks (REP008), and

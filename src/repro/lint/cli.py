@@ -205,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     """Standalone entry point (``python -m repro.lint.cli``)."""
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="project-specific static analysis (REP001-REP009)",
+        description="project-specific static analysis (REP001, REP002, REP004-REP009)",
     )
     add_lint_arguments(parser)
     args = parser.parse_args(argv)

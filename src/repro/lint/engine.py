@@ -2,8 +2,8 @@
 
 The linter is a small, dependency-free (stdlib ``ast`` + ``tokenize``)
 static checker for project invariants that generic tools cannot see:
-cache/version discipline, the canonical clock dtype, shared-memory
-lifecycles, and hot-path hygiene.  This module provides:
+cache/version discipline, the canonical clock dtype, hot-path hygiene
+and socket lifecycles.  This module provides:
 
 * :class:`Finding` — one diagnostic, ordered for stable output;
 * :class:`Rule` / :func:`rule` — the rule registry (rules live in

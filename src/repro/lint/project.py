@@ -1,10 +1,10 @@
 """Project-wide analysis phase: symbol index, call graph, project rules.
 
-The per-file rules (REP001-REP006) are deliberately local: one
-:class:`~repro.lint.engine.FileContext` in, findings out.  That blind
-spot is exactly the paper's point about synchronization bugs — the
-error is invisible in any single process and only shows up in the
-cross-process order of events.  The analogous lint bugs are invisible
+The per-file rules (REP001, REP002, REP004-REP006) are deliberately
+local: one :class:`~repro.lint.engine.FileContext` in, findings out.
+That blind spot is exactly the paper's point about synchronization
+bugs — the error is invisible in any single process and only shows up
+in the cross-process order of events.  The analogous lint bugs are invisible
 in any single *file*: a synchronous ``fsync`` reached from a coroutine
 three call hops away, a spawned task whose handle no module ever
 awaits, a frame type emitted by the client that the server never

@@ -1,6 +1,6 @@
 """Rule modules; importing this package registers every rule.
 
-Per-file rules (REP001-REP006) register into
+Per-file rules (REP001, REP002, REP004-REP006) register into
 :data:`repro.lint.engine.RULES`; project rules (REP007-REP009) into
 :data:`repro.lint.project.PROJECT_RULES`.
 """
@@ -10,7 +10,6 @@ from . import (
     dtype,
     frameprotocol,
     hotpath,
-    shm,
     sockets,
     tasklifecycle,
     versioning,
@@ -21,7 +20,6 @@ __all__ = [
     "dtype",
     "frameprotocol",
     "hotpath",
-    "shm",
     "sockets",
     "tasklifecycle",
     "versioning",

@@ -30,10 +30,9 @@ failure path between acquisition and publication:
   uses around ``start_server`` and ``open_connection``).
 
 The rule applies to every module under ``src/repro/service/`` (by
-path) and to any module tagged ``repro: service-sockets``.  It is the
-REP003 shared-memory discipline transplanted to sockets: guard the
-acquisition-to-publication window; steady-state lifetime is the
-owner's concern.
+path) and to any module tagged ``repro: service-sockets``.  It guards
+the acquisition-to-publication window only; steady-state lifetime is
+the owner's concern.
 """
 
 from __future__ import annotations

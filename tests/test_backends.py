@@ -11,7 +11,8 @@ The seam itself is enforced structurally: no module under
 ``repro.core``, ``repro.monitor``, or ``repro.globalstates`` may import
 the clock substrate (``ClockTable``/``GrowableClockTable`` or the
 ``repro.events.clocks`` module) — everything flows through
-:mod:`repro.backends`.
+:mod:`repro.backends`.  Importing the public entry points must not load
+``multiprocessing``: every evaluation path is in-process.
 
 :func:`~repro.backends.reduction.reduce_trace` must preserve every
 verdict for label-selected intervals while merging commuting adjacent
@@ -23,6 +24,9 @@ from __future__ import annotations
 
 import ast
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +286,25 @@ class TestSeamEnforcement:
         # guard against the seam test silently scanning nothing
         for layer in self._LAYERS:
             assert list((_SRC / layer).rglob("*.py")), layer
+
+    def test_entry_points_import_no_multiprocessing(self):
+        """Batch evaluation is in-process: no public entry point pays
+        for ``multiprocessing`` (pool, shared memory, resource tracker)
+        at import time.  Checked in a fresh interpreter, since this
+        test process may have imported it for other reasons."""
+        probe = (
+            "import sys\n"
+            "import repro, repro.cli, repro.service.server\n"
+            "import repro.service.client, repro.lint\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'multiprocessing'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(_SRC.parent))
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]", out.stdout
 
 
 def _labelled_trace(num_nodes, ops):

@@ -1,18 +1,12 @@
-"""Columnar kernels and the parallel executor vs the reference engines.
+"""Columnar kernels and the batch planner vs the reference engines.
 
-Property tests for the PR-2 substrate: the one-pass columnar cut fill
-(:func:`repro.core.cuts.cut_stats` and its raw-array variants), the
-per-pair gather kernel (:func:`repro.core.pairwise.pairwise_verdicts`),
-and the :class:`~repro.core.parallel.ParallelBatchExecutor` must agree
-with the per-interval folds and the definition-level
+Property tests for the columnar substrate: the one-pass cut fill
+(:func:`repro.core.cuts.cut_stats`) must agree with the per-interval
+folds, and :meth:`~repro.core.evaluator.SynchronizationAnalyzer.batch_holds`
+(grouped by spec, one fancy-indexed gather per group from the all-pairs
+matrices) must agree with the definition-level
 :class:`~repro.core.naive.NaiveEvaluator` on random executions — over
 all 8 base relations and all 32 family members.
-
-Process-pool startup is far too slow for a per-example Hypothesis
-property, so the executor itself is exercised on a deterministic
-multi-seed sweep (serial fallback and 2-worker pool against the same
-query lists) while the kernels it is built from get the full
-property-based treatment.
 """
 
 from __future__ import annotations
@@ -20,21 +14,9 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings
 
-from repro.core.cuts import (
-    CutStats,
-    batch_quadruples,
-    cut_stats,
-    cut_stats_from_arrays,
-    cut_stats_from_extrema,
-    cuts_of,
-)
+from repro.core.cuts import CutStats, batch_quadruples, cut_stats, cuts_of
 from repro.core.evaluator import SynchronizationAnalyzer
-from repro.core.naive import NaiveEvaluator
-from repro.core.pairwise import pairwise_verdicts
-from repro.core.parallel import ParallelBatchExecutor
 from repro.core.relations import BASE_RELATIONS, FAMILY32
-from repro.events.poset import Execution
-from repro.simulation.workloads import random_trace
 
 from .strategies import execution_with_intervals, execution_with_pair
 
@@ -66,33 +48,6 @@ class TestColumnarCutFill:
         _assert_stats_match_folds(ex, intervals, cut_stats(ex, intervals))
 
     @given(execution_with_intervals(k=3))
-    @settings(max_examples=40, deadline=None)
-    def test_raw_array_variants_match(self, ex_ivs):
-        ex, intervals = ex_ivs
-        fwd, rev = ex.forward_table, ex.reverse_table
-        reference = cut_stats(ex, intervals)
-        from_ids = cut_stats_from_arrays(
-            fwd.data, rev.data, fwd.offsets, fwd.lengths,
-            [sorted(iv.ids) for iv in intervals],
-        )
-        from_extrema = cut_stats_from_extrema(
-            fwd.data, rev.data, fwd.offsets, fwd.lengths,
-            [
-                (
-                    iv.node_set,
-                    tuple(iv.first_at(n) for n in iv.node_set),
-                    tuple(iv.last_at(n) for n in iv.node_set),
-                )
-                for iv in intervals
-            ],
-        )
-        for got in (from_ids, from_extrema):
-            for name in ("c1", "c2", "c3", "c4", "first", "last"):
-                np.testing.assert_array_equal(
-                    getattr(got, name), getattr(reference, name)
-                )
-
-    @given(execution_with_intervals(k=3))
     @settings(max_examples=30, deadline=None)
     def test_batch_quadruples_matches_folds(self, ex_ivs):
         ex, intervals = ex_ivs
@@ -106,134 +61,18 @@ class TestColumnarCutFill:
 
 class TestGatherKernelVsNaive:
     @given(execution_with_pair())
-    @settings(max_examples=50, deadline=None)
-    def test_base_relations_match_naive(self, ex_pair):
-        ex, x, y = ex_pair
-        naive = NaiveEvaluator(ex)
-        stats = cut_stats(ex, [x, y])
-        for rel in BASE_RELATIONS:
-            got = pairwise_verdicts(stats, rel, [0], [1])
-            assert bool(got[0]) == naive.evaluate(rel, x, y), rel
-
-    @given(execution_with_pair())
     @settings(max_examples=25, deadline=None)
     def test_family32_batch_matches_naive(self, ex_pair):
         ex, x, y = ex_pair
         naive = SynchronizationAnalyzer(
             ex, engine="naive", check_disjoint=False
         )
-        queries = [(spec, x, y) for spec in ALL_SPECS]
-        # the serial executor path exercises proxy resolution + the
-        # columnar fill + the gather kernel, no pool
-        serial = ParallelBatchExecutor(ex, jobs=1).execute(
-            queries, check_disjoint=False
+        # both orientations per spec: every spec group has two queries,
+        # so the planner takes the matrix-and-gather path, not the
+        # scalar fallback
+        queries = [(spec, a, b) for spec in ALL_SPECS for a, b in ((x, y), (y, x))]
+        batched = SynchronizationAnalyzer(ex, check_disjoint=False).batch_holds(
+            queries, min_group=2
         )
-        expected = [naive.holds(s, x, y) for s, x, y in queries]
-        assert serial == expected
-
-
-class TestParallelExecutor:
-    def test_jobs_clamped_to_cpu_count(self):
-        """Default clamp caps workers at the core count (oversubscribed
-        pools measured slower than serial on a 1-core host); clamp=False
-        keeps the explicit request."""
-        import os
-
-        ex = Execution(random_trace(2, events_per_node=4, seed=2))
-        cores = os.cpu_count() or 1
-        with ParallelBatchExecutor(ex, jobs=4096) as px:
-            assert px.jobs == cores
-        with ParallelBatchExecutor(ex, jobs=4096, clamp=False) as px:
-            assert px.jobs == 4096
-        with ParallelBatchExecutor(ex) as px:  # default = cpu_count
-            assert px.jobs == cores
-
-    def test_pool_matches_serial_and_scalar_over_seeds(self):
-        """2-worker pool vs serial fallback vs scalar engine, all 40
-        specs, several random executions (deterministic seeds)."""
-        for seed in (3, 17, 29):
-            rng = np.random.default_rng(seed)
-            ex = Execution(
-                random_trace(4, events_per_node=12, msg_prob=0.4, seed=seed)
-            )
-            an = SynchronizationAnalyzer(ex, check_disjoint=False)
-            ids = sorted(ex.iter_ids())
-            intervals = [
-                an.interval([ids[int(i)] for i in rng.choice(
-                    len(ids), size=min(4, len(ids)), replace=False)])
-                for _ in range(12)
-            ]
-            queries = []
-            for _ in range(200):
-                i, j = rng.choice(len(intervals), size=2, replace=False)
-                spec = ALL_SPECS[int(rng.integers(len(ALL_SPECS)))]
-                queries.append((spec, intervals[int(i)], intervals[int(j)]))
-
-            scalar = [an.holds(s, x, y) for s, x, y in queries]
-            # clamp=False: exercise real pool mechanics even on 1-core CI
-            with ParallelBatchExecutor(
-                ex, jobs=2, min_parallel=1, clamp=False
-            ) as px:
-                assert px.execute(queries, check_disjoint=False) == scalar
-            serial = ParallelBatchExecutor(ex, jobs=1).execute(
-                queries, check_disjoint=False
-            )
-            assert serial == scalar
-
-    def test_threshold_falls_back_to_serial(self):
-        ex = Execution(random_trace(3, events_per_node=8, seed=1))
-        an = SynchronizationAnalyzer(ex, check_disjoint=False)
-        ids = sorted(ex.iter_ids())
-        x = an.interval(ids[: len(ids) // 2])
-        y = an.interval(ids[len(ids) // 2:])
-        queries = [(r, x, y) for r in BASE_RELATIONS]
-        px = ParallelBatchExecutor(ex, jobs=4, min_parallel=10**6)
-        try:
-            got = px.execute(queries, check_disjoint=False)
-            assert px._resources["pool"] is None  # never spun up
-            assert got == [an.holds(r, x, y) for r, x, y in queries]
-        finally:
-            px.close()
-
-    def test_version_invalidation_republishes(self):
-        from repro.events.builder import TraceBuilder
-
-        b = TraceBuilder(2)
-        e0 = b.internal(0)
-        m = b.send(0)
-        r = b.recv(1, m)
-        ex = Execution(b.build())
-        an = SynchronizationAnalyzer(ex)
-        x = an.interval([e0])
-        px = ParallelBatchExecutor(
-            an.context, jobs=2, min_parallel=1, clamp=False
-        )
-        try:
-            px.execute([("R1", x, an.interval([r]))])
-            version_before = px._published_version
-            e1 = b.internal(1)
-            e2 = b.internal(0)
-            an.context.extend(b.build())
-            y = an.interval([e1, e2])
-            queries = [("R1", x, y), ("R4", x, y)]
-            got = px.execute(queries)
-            assert px._published_version != version_before
-            assert got == an.batch_holds(queries)
-        finally:
-            px.close()
-
-    def test_analyzer_delegates_above_threshold(self):
-        ex = Execution(random_trace(4, events_per_node=10, seed=5))
-        serial_an = SynchronizationAnalyzer(ex, check_disjoint=False)
-        par_an = SynchronizationAnalyzer(
-            ex, check_disjoint=False, jobs=2, parallel_threshold=8
-        )
-        try:
-            ids = sorted(ex.iter_ids())
-            x = serial_an.interval(ids[: len(ids) // 2])
-            y = serial_an.interval(ids[len(ids) // 2:])
-            queries = [(s, x, y) for s in ALL_SPECS]
-            assert par_an.batch_holds(queries) == serial_an.batch_holds(queries)
-            assert par_an._parallel is not None  # the pool path was taken
-        finally:
-            par_an.close()
+        expected = [naive.holds(s, a, b) for s, a, b in queries]
+        assert batched == expected

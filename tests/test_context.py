@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.core.context import AnalysisContext, CutCache
 from repro.core.cuts import cut_C1, cut_C2, cut_C3, cut_C4
 from repro.core.evaluator import SynchronizationAnalyzer
-from repro.core.relations import Relation, parse_spec
+from repro.core.relations import BASE_RELATIONS, FAMILY32, Relation
 from repro.events.builder import TraceBuilder
 from repro.events.clocks import (
     clock_pass_counts,
@@ -218,15 +218,9 @@ class TestBatchPlanner:
             NonatomicEvent(ex, [ids[i] for i in chunk], name=f"I{n}")
             for n, chunk in enumerate(chunks)
         ]
-        specs = [
-            Relation.R1,
-            Relation.R2,
-            Relation.R3,
-            Relation.R4,
-            parse_spec("R2'(U,L)"),
-            parse_spec("R3'(L,U)"),
-        ]
+        specs = [*BASE_RELATIONS, *FAMILY32]
         an = SynchronizationAnalyzer(ex, engine="linear")
+        naive = SynchronizationAnalyzer(ex, engine="naive")
         queries = [
             (spec, x, y)
             for spec in specs
@@ -237,6 +231,7 @@ class TestBatchPlanner:
         batched = an.batch_holds(queries)  # 12 per spec -> vectorised
         for (spec, x, y), got in zip(queries, batched, strict=True):
             assert got == an.holds(spec, x, y), (spec, x.name, y.name)
+            assert got == naive.holds(spec, x, y), (spec, x.name, y.name)
 
     def test_small_groups_fall_back_to_scalar(self):
         b = TraceBuilder(2)

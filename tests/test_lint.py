@@ -25,7 +25,7 @@ from repro.lint.project import module_name_for
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 SRC = Path(__file__).parent.parent / "src" / "repro"
 
-FILE_RULES = ("REP001", "REP002", "REP003", "REP004", "REP005", "REP006")
+FILE_RULES = ("REP001", "REP002", "REP004", "REP005", "REP006")
 PROJECT_CODES = ("REP007", "REP008", "REP009")
 ALL_RULES = FILE_RULES + PROJECT_CODES
 

@@ -655,20 +655,16 @@ def _offline_verdicts(trace, watches, backend) -> set[tuple[str, bool]]:
     from repro.monitor.predicates import parse_condition
 
     ctx = AnalysisContext(Execution(trace), backend=backend)
-    analyzer = SynchronizationAnalyzer(ctx, engine="linear")
-    try:
-        checker = ConditionChecker(analyzer)
-        out = set()
-        for name, cond in watches:
-            parsed = parse_condition(cond)
-            bindings = {
-                label: by_label(ctx.execution, label, name=label)
-                for label in parsed.names()
-            }
-            out.add((name, checker.check(parsed, bindings).passed))
-        return out
-    finally:
-        analyzer.close()
+    checker = ConditionChecker(SynchronizationAnalyzer(ctx, engine="linear"))
+    out = set()
+    for name, cond in watches:
+        parsed = parse_condition(cond)
+        bindings = {
+            label: by_label(ctx.execution, label, name=label)
+            for label in parsed.names()
+        }
+        out.add((name, checker.check(parsed, bindings).passed))
+    return out
 
 
 # ----------------------------------------------------------------------
