@@ -17,8 +17,11 @@ intervals constructed twice paid the fold twice.
   on :attr:`Execution.version <repro.events.poset.Execution.version>`,
   which :meth:`Execution.extend` bumps, so stale future-side vectors
   can never be served;
-* a factory for :class:`~repro.core.pairwise.IntervalSetMatrices`
-  stacks that draws cut vectors from the cache instead of re-folding.
+* batched fills (:meth:`CutCache.stats`,
+  :meth:`CutCache.family_operands`) that route whole interval sets
+  through the context's backend in one columnar pass — the operand
+  source of the batch planner, the all-pairs matrices and the shared
+  verdict cache.
 
 All three relation engines, the high-level
 :class:`~repro.core.evaluator.SynchronizationAnalyzer`, the online
@@ -49,7 +52,6 @@ from .versioning import versioned_state
 if TYPE_CHECKING:
     from ..events.trace import Trace
     from .evaluator import SharedVerdictCache
-    from .pairwise import IntervalSetMatrices
 
 __all__ = ["AnalysisContext", "CutCache"]
 
@@ -192,74 +194,18 @@ class CutCache:
         """Stacked cut/extremal matrices for ``intervals``, rows aligned
         with the input order.
 
-        Rows already memoized (all four cuts plus the extremal pair)
-        are copied out of the cache; every *missing* interval is filled
-        by one batched backend pass
+        One batched backend pass
         (:meth:`~repro.backends.base.CausalityBackend.cut_stats` — for
         the vector backend, gathers and segmented reductions over the
-        ``(|E|, |P|)`` clock matrices, no per-interval fold loop) and
-        deposited, so later scalar queries hit.  This is the construction path of
-        :class:`~repro.core.pairwise.IntervalSetMatrices` and the batch
-        planner.
+        ``(|E|, |P|)`` clock matrices, no per-interval fold loop) fills
+        every row; each row counts as one :attr:`misses`.  Nothing is
+        memoized: batch callers fill each interval once per batch.
         """
-        self._fresh()
-        k = len(intervals)
-        num_nodes = self._execution.num_nodes
-        out = {
-            name: np.empty((k, num_nodes), dtype=np.int64)
-            for name in ("c1", "c2", "c3", "c4", "first", "last")
-        }
-        missing: list[int] = []
-        dups: list[tuple[int, int]] = []
-        filled: dict[_IntervalKey, int] = {}
-        for i, x in enumerate(intervals):
+        for x in intervals:
             self._check_interval(x)
-            key = x.ids
-            dup = filled.get(key)
-            if dup is not None:
-                dups.append((i, dup))
-                self.hits += 1
-                continue
-            filled[key] = i
-            extremal = self._extremal.get(key)
-            c1 = self._cuts.get((key, "C1"))
-            c2 = self._cuts.get((key, "C2"))
-            c3 = self._cuts.get((key, "C3"))
-            c4 = self._cuts.get((key, "C4"))
-            if extremal is None or None in (c1, c2, c3, c4):
-                missing.append(i)
-                continue
-            self.hits += 1
-            out["c1"][i] = c1.vector
-            out["c2"][i] = c2.vector
-            out["c3"][i] = c3.vector
-            out["c4"][i] = c4.vector
-            out["first"][i], out["last"][i] = extremal
-        if missing:
-            cold = self._backend.cut_stats([intervals[i] for i in missing])
-            rows = np.asarray(missing, dtype=np.intp)
-            for name in out:
-                out[name][rows] = getattr(cold, name)
-            ex = self._execution
-            for j, i in enumerate(missing):
-                self.misses += 1
-                key = intervals[i].ids
-                self._cuts[(key, "C1")] = Cut._trusted(ex, cold.c1[j])
-                self._cuts[(key, "C2")] = Cut._trusted(ex, cold.c2[j])
-                self._cuts[(key, "C3")] = Cut._trusted(ex, cold.c3[j])
-                self._cuts[(key, "C4")] = Cut._trusted(ex, cold.c4[j])
-                self._extremal[key] = (cold.first[j], cold.last[j])
-        for i, dup in dups:
-            for name in out:
-                out[name][i] = out[name][dup]
-        for name in out:
-            out[name].setflags(write=False)
-        return CutStats(**out)
-
-    def fill_batch(self, intervals: Sequence[NonatomicEvent]) -> None:
-        """Memoize cuts and extremal vectors for ``intervals`` in one
-        vectorized pass (a :meth:`stats` call for its deposit effect)."""
-        self.stats(intervals)
+        self._fresh()
+        self.misses += len(intervals)
+        return self._backend.cut_stats(intervals)
 
     def family_operands(
         self,
@@ -274,8 +220,7 @@ class CutCache:
         :meth:`~repro.backends.base.CausalityBackend.cut_stats` in a
         single call), then reshapes into the contiguous operand layout
         the batched family kernel
-        (:func:`repro.core.family.verdict_matrix`) gathers from.  The
-        proxy cuts land in this cache, so later scalar queries hit.
+        (:func:`repro.core.family.verdict_matrix`) gathers from.
         """
         proxies: list[NonatomicEvent] = []
         for x in intervals:
@@ -290,9 +235,6 @@ _SHARED: "weakref.WeakKeyDictionary[Execution, AnalysisContext]" = (
 )
 
 
-# ``_verdicts`` is deliberately untracked: each SharedVerdictCache entry
-# freshness-checks itself against the execution version on every read.
-@versioned_state(version="_mats_version", caches=("_mats",), guards=())
 class AnalysisContext:
     """Shared evaluation substrate for one execution.
 
@@ -307,11 +249,8 @@ class AnalysisContext:
     either.
     """
 
-    __slots__ = ("_execution", "_backend", "_cut_cache", "_mats",
-                 "_mats_version", "_verdicts", "__weakref__")
-
-    #: bound on memoized interval-set stacks before the memo is reset
-    _MATS_LIMIT = 64
+    __slots__ = ("_execution", "_backend", "_cut_cache", "_verdicts",
+                 "__weakref__")
 
     def __init__(
         self,
@@ -328,8 +267,6 @@ class AnalysisContext:
         else:
             self._backend = make_backend(backend, execution)
         self._cut_cache = CutCache(execution, self._backend)
-        self._mats: dict[tuple[_IntervalKey, ...], object] = {}
-        self._mats_version = execution.version
         self._verdicts: dict[ProxyDefinition, SharedVerdictCache] = {}
 
     @classmethod
@@ -414,32 +351,6 @@ class AnalysisContext:
     # ------------------------------------------------------------------
     # batched structures
     # ------------------------------------------------------------------
-    def matrices(self, intervals: Sequence[NonatomicEvent]) -> IntervalSetMatrices:
-        """An :class:`~repro.core.pairwise.IntervalSetMatrices` stack
-        over ``intervals`` whose rows are drawn from the cut cache
-        (folds already paid are not repeated).
-
-        Stacks are memoized by the sequence of interval identities:
-        repeated batches over the same interval set — the planner's
-        steady state — reuse both the stacked vectors and any relation
-        matrices already broadcast from them.  The memo is dropped when
-        the execution grows (and bounded, resetting past
-        ``_MATS_LIMIT`` entries).
-        """
-        from .pairwise import IntervalSetMatrices
-
-        if self._mats_version != self._execution.version:
-            self._mats.clear()
-            self._mats_version = self._execution.version
-        key = tuple(iv.ids for iv in intervals)
-        mats = self._mats.get(key)
-        if mats is None:
-            mats = IntervalSetMatrices(intervals, cache=self._cut_cache)
-            if len(self._mats) >= self._MATS_LIMIT:
-                self._mats.clear()
-            self._mats[key] = mats
-        return mats
-
     def verdict_cache(self, proxy_definition: ProxyDefinition) -> SharedVerdictCache:
         """The shared ``≪``-subtest verdict cache for one proxy
         definition (created on first use).
@@ -492,8 +403,6 @@ class AnalysisContext:
         """
         self._execution.extend(trace)
         self._cut_cache.invalidate()  # also re-arms the backend
-        self._mats.clear()
-        self._mats_version = self._execution.version
         for vc in self._verdicts.values():
             vc.invalidate()
         return self

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -43,9 +42,6 @@ from ..backends.vector import vector_cut_stats
 from ..events.event import EventId
 from ..events.poset import Execution
 from ..nonatomic.event import NonatomicEvent
-
-if TYPE_CHECKING:
-    from .relations import SubtestKind
 
 __all__ = [
     "Cut",
@@ -64,7 +60,6 @@ __all__ = [
     "cuts_of",
     "ll",
     "not_ll",
-    "evaluate_subtest",
     "ll_form1",
     "not_ll_form2",
     "ll_form3",
@@ -458,30 +453,6 @@ def not_ll(c: Cut, cp: Cut) -> bool:
     causally after some surface event of C'.  This is the form the
     relation evaluations of Table 1 consume."""
     return not ll(c, cp)
-
-
-def evaluate_subtest(kind: "SubtestKind", y_vec: np.ndarray, x_vec: np.ndarray) -> bool:
-    """Evaluate one canonical ``≪`` subtest (Theorem 19/20 factoring).
-
-    ``kind`` is a :class:`~repro.core.relations.SubtestKind`; ``y_vec``
-    and ``x_vec`` are the length-``|P|`` operand rows its key selects
-    (past-cut timestamps / extremal indices of Ŷ against future-cut
-    timestamps / extremal indices of X̂).  The three shapes are the
-    full-``|P|``-scan forms of the vectorised all-pairs kernel
-    (:func:`repro.core.pairwise._relation_matrix_from`), so verdicts
-    agree with every engine on disjoint intervals.
-    """
-    from .relations import SubtestKind
-
-    if kind is SubtestKind.EXISTS_CUT:
-        return bool(np.any(y_vec >= x_vec))
-    if kind is SubtestKind.FORALL_PAST:
-        # lastX̂ = 0 off N_X̂ is neutral: cut timestamps are >= 0.
-        return bool(np.all(y_vec >= x_vec))
-    if kind is SubtestKind.FORALL_FUTURE:
-        # firstŶ = 0 encodes "node not in N_Ŷ" and is skipped.
-        return bool(np.all((y_vec == 0) | (y_vec >= x_vec)))
-    raise ValueError(f"unknown subtest kind: {kind!r}")  # pragma: no cover
 
 
 # Literal set-based renderings of Definition 7's four forms.  Forms 1

@@ -24,11 +24,12 @@ from ..nonatomic.event import NonatomicEvent
 from ..nonatomic.proxies import ProxyDefinition
 from .context import AnalysisContext
 from .counting import ComparisonCounter
-from .family import N_SUBTESTS, verdict_matrix
+from .family import N_SUBTESTS, subtest_verdicts, verdict_matrix
 from .versioning import versioned_state
 from .hierarchy import evaluate_all_pruned, maximal_true
 from .linear import LinearEvaluator
 from .naive import NaiveEvaluator
+from .pairwise import IntervalSetMatrices
 from .polynomial import PolynomialEvaluator
 from .relations import (
     BASE_RELATIONS,
@@ -37,6 +38,7 @@ from .relations import (
     SUBTEST_KEYS,
     Relation,
     RelationSpec,
+    SubtestKey,
     SubtestKind,
     parse_spec,
     subtest_key,
@@ -95,7 +97,7 @@ ENGINES = {
 
 @versioned_state(
     version="_version",
-    caches=("_verdicts", "_operands"),
+    caches=("_verdicts",),
     guards=("invalidate", "_fresh"),
 )
 class SharedVerdictCache:
@@ -115,11 +117,11 @@ class SharedVerdictCache:
 
     Rows are produced by the batched kernel
     (:func:`~repro.core.family.verdict_matrix`): :meth:`fill_pairs`
-    stacks the missing pairs' operand tensors — drawn from the context's
-    shared :class:`~repro.core.context.CutCache` in **one** batched
-    :meth:`~repro.core.context.CutCache.family_operands` gather — and
-    scatters the resulting ``(pairs, 24)`` verdict matrix into the memo
-    in one pass, with zero per-pair Python dispatch.  Entries are keyed
+    fills the missing pairs' operand tensor — **one** batched
+    :meth:`~repro.core.context.CutCache.family_operands` call over their
+    distinct intervals — and scatters the resulting ``(pairs, 24)``
+    verdict matrix into the memo in one pass, with zero per-pair Python
+    dispatch.  Entries are keyed
     to the execution :attr:`~repro.events.poset.Execution.version`;
     growth drops every verdict, so stale future-side subtests can never
     be served.
@@ -142,7 +144,7 @@ class SharedVerdictCache:
     """
 
     __slots__ = ("context", "proxy_definition", "_version", "_verdicts",
-                 "_operands", "evals", "cut_pair_evals", "hits", "fills")
+                 "evals", "cut_pair_evals", "hits", "fills")
 
     def __init__(
         self,
@@ -155,16 +157,14 @@ class SharedVerdictCache:
         self._verdicts: dict[
             tuple[frozenset[EventId], frozenset[EventId]], VerdictRow
         ] = {}
-        self._operands: dict[frozenset[EventId], np.ndarray] = {}
         self.evals = 0
         self.cut_pair_evals = 0
         self.hits = 0
         self.fills = 0
 
     def invalidate(self) -> None:
-        """Drop every verdict and operand row; re-arm on current version."""
+        """Drop every verdict row; re-arm on current version."""
         self._verdicts.clear()
-        self._operands.clear()
         self._version = self.context.execution.version
 
     def _fresh(self) -> None:
@@ -182,10 +182,10 @@ class SharedVerdictCache:
     ) -> None:
         """Batch-fill the verdict rows of every not-yet-cached pair.
 
-        One pass end to end: missing pairs are deduplicated, their cold
-        intervals' ``(12, P)`` operand tensors are gathered by **one**
-        batched :meth:`~repro.core.context.CutCache.family_operands`
-        cut fill, the stacked tensor is pushed through
+        One pass end to end: missing pairs are deduplicated, their
+        distinct intervals' ``(k, 12, P)`` operand tensor is filled by
+        **one** batched :meth:`~repro.core.context.CutCache.family_operands`
+        call, the tensor is pushed through
         :func:`~repro.core.family.verdict_matrix` once, and the
         ``(pairs, 24)`` result is scattered into the memo.  Already-
         cached pairs are skipped without touching the counters.
@@ -202,23 +202,16 @@ class SharedVerdictCache:
                 todo[pk] = (x, y)
         if not todo:
             return
-        operands = self._operands
         row_of: dict[frozenset[EventId], int] = {}
-        cold: list[NonatomicEvent] = []
+        intervals: list[NonatomicEvent] = []
         for x, y in todo.values():
             for z in (x, y):
-                key = z.ids
-                if key not in row_of:
-                    row_of[key] = len(row_of)
-                    if key not in operands:
-                        cold.append(z)
-        if cold:
-            tensor = self.context.cut_cache.family_operands(
-                cold, self.proxy_definition
-            )
-            for z, rec in zip(cold, tensor, strict=True):
-                operands[z.ids] = rec
-        ops = np.stack([operands[key] for key in row_of])
+                if z.ids not in row_of:
+                    row_of[z.ids] = len(intervals)
+                    intervals.append(z)
+        ops = self.context.cut_cache.family_operands(
+            intervals, self.proxy_definition
+        )
         xs = np.fromiter(
             (row_of[kx] for kx, _ky in todo), np.intp, count=len(todo)
         )
@@ -388,20 +381,21 @@ class SynchronizationAnalyzer:
     # batched queries
     # ------------------------------------------------------------------
     def batch_holds(
-        self,
-        queries: "Sequence[Query] | Iterable[Query]",
-        min_group: int = 4,
+        self, queries: "Sequence[Query] | Iterable[Query]"
     ) -> list[bool]:
         """Answer many ``(spec, X, Y)`` queries, batched.
 
-        The planner groups queries by relation spec; every group with at
-        least ``min_group`` queries is routed through the vectorised
-        all-pairs kernel (:class:`~repro.core.pairwise.IntervalSetMatrices`):
-        the group's distinct intervals are stacked into one ``(k, P)``
-        cut-timestamp matrix (drawn from the shared cut cache) and the
-        whole group is answered by one NumPy broadcast instead of
-        per-query Python calls.  Smaller groups fall back to the scalar
-        engine path.  Results align with the input order.
+        One planning pass gives every distinct interval one row of a
+        ``(k, 12, P)`` family operand tensor per proxy definition it is
+        read under — per-node for base relations, the analyzer's
+        :attr:`proxy_definition` for family specs — and groups the
+        queries by subtest key (:func:`~repro.core.relations.subtest_key`).
+        Each needed tensor costs one batched
+        :meth:`~repro.core.context.CutCache.family_operands` fill (a
+        single fill when both definitions coincide), and each group one
+        fancy-indexed gather (:func:`~repro.core.family.subtest_verdicts`)
+        instead of per-query Python calls.  Results align with the input
+        order.
 
         Notes
         -----
@@ -415,59 +409,61 @@ class SynchronizationAnalyzer:
           :meth:`holds`.
         """
         qs = list(queries)
-        out: list[bool] = [False] * len(qs)
         check = self.check_disjoint
-
-        # single planning pass: validate, parse, group by spec (hashing
-        # each *distinct spec object* once — RelationSpec hashing is not
-        # free at planner scale) and assign interval rows as we go.
-        # group record: [query indices, x rows, y rows, row_of, intervals]
-        groups: dict[Relation | RelationSpec, list] = {}
-        group_of_obj: dict[int, list] = {}
+        # proxy definition -> (interval identity -> operand row, rows)
+        tensors: dict[
+            ProxyDefinition,
+            tuple[dict[frozenset[EventId], int], list[NonatomicEvent]],
+        ] = {}
+        # (proxy definition, subtest key) -> (query indices, x rows,
+        # y rows, that definition's row map and intervals)
+        groups: dict[tuple[ProxyDefinition, SubtestKey], tuple] = {}
+        # keyed by the id of the spec object as given (kept alive by
+        # ``qs``): each distinct object is parsed and hashed once
+        group_of_obj: dict[int, tuple] = {}
         for i, (spec, x, y) in enumerate(qs):
             if check and not x.ids.isdisjoint(y.ids):
                 self._check_pair(x, y)  # raises with the full message
-            if isinstance(spec, str):
-                spec = parse_spec(spec)
-                qs[i] = (spec, x, y)
-            rec = group_of_obj.get(id(spec))
-            if rec is None:
-                rec = groups.setdefault(spec, [[], [], [], {}, []])
-                group_of_obj[id(spec)] = rec
-            idxs, xs, ys, row_of, intervals = rec
+            group = group_of_obj.get(id(spec))
+            if group is None:
+                parsed = parse_spec(spec) if isinstance(spec, str) else spec
+                pd = (
+                    ProxyDefinition.PER_NODE
+                    if isinstance(parsed, Relation)
+                    else self.proxy_definition
+                )
+                plan = tensors.get(pd)
+                if plan is None:
+                    plan = tensors[pd] = ({}, [])
+                gkey = (pd, subtest_key(parsed))
+                group = groups.get(gkey)
+                if group is None:
+                    group = groups[gkey] = ([], [], [], *plan)
+                group_of_obj[id(spec)] = group
+            idxs, xs, ys, row_of, intervals = group
             idxs.append(i)
-            kx = x.ids
-            row = row_of.get(kx)
+            row = row_of.get(x.ids)
             if row is None:
-                row = row_of[kx] = len(intervals)
+                row = row_of[x.ids] = len(intervals)
                 intervals.append(x)
             xs.append(row)
-            ky = y.ids
-            row = row_of.get(ky)
+            row = row_of.get(y.ids)
             if row is None:
-                row = row_of[ky] = len(intervals)
+                row = row_of[y.ids] = len(intervals)
                 intervals.append(y)
             ys.append(row)
 
-        for spec, (idxs, xs, ys, _row_of, intervals) in groups.items():
-            if len(idxs) < max(min_group, 2):
-                for i in idxs:
-                    _s, x, y = qs[i]
-                    out[i] = self._engine_holds(spec, x, y)
-                continue
-            # one (k, P) stack over the group's distinct intervals
-            mats = self.context.matrices(intervals)
-            if isinstance(spec, Relation):
-                matrix = mats.relation_matrix(spec, mask_diagonal=False)
-            else:
-                matrix = mats.spec_matrix(
-                    spec,
-                    proxy_definition=self.proxy_definition,
-                    mask_diagonal=False,
-                )
-            # one fancy-indexed gather instead of per-query scalar reads
-            verdicts = matrix[np.asarray(xs, dtype=np.intp),
-                              np.asarray(ys, dtype=np.intp)]
+        cache = self.context.cut_cache
+        ops = {
+            pd: cache.family_operands(intervals, pd)
+            for pd, (_row_of, intervals) in tensors.items()
+        }
+        out: list[bool] = [False] * len(qs)
+        for (pd, key), (idxs, xs, ys, _row_of, _ivs) in groups.items():
+            verdicts = subtest_verdicts(
+                ops[pd], key,
+                np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp),
+            )
             for i, v in zip(idxs, verdicts.tolist(), strict=True):
                 out[i] = v
         return out
@@ -486,19 +482,6 @@ class SynchronizationAnalyzer:
     # ------------------------------------------------------------------
     # Problem 4 (ii): all relations
     # ------------------------------------------------------------------
-    def _family_holds(
-        self,
-        spec: "Relation | RelationSpec",
-        x: NonatomicEvent,
-        y: NonatomicEvent,
-    ) -> bool:
-        """Family-query dispatch: shared ≪-subtest cache when available
-        (Theorem 19/20 factoring — at most 24 distinct subtest verdicts
-        per ordered pair across all 40 specs), scalar engine otherwise."""
-        if self._verdict_cache is not None:
-            return self._verdict_cache.holds(spec, x, y)
-        return self._engine_holds(spec, x, y)
-
     def base_relations(
         self, x: NonatomicEvent, y: NonatomicEvent
     ) -> dict[Relation, bool]:
@@ -641,15 +624,15 @@ class SynchronizationAnalyzer:
         """``M[i, j] = spec(intervals[i], intervals[j])`` for all pairs.
 
         Delegates to the vectorised kernel of
-        :mod:`repro.core.pairwise` (NumPy broadcasting over stacked cut
-        timestamps, drawn from the shared cut cache) — the fast path
-        for pairwise sweeps such as the mutual-exclusion verifier.
+        :mod:`repro.core.pairwise` (NumPy broadcasting over the family
+        operand tensor, filled through this analyzer's cut cache) — the
+        fast path for all-pairs sweeps.
         Engine choice does not apply here; the kernel is its own
         (equivalent) evaluation strategy.
         """
         if isinstance(spec, str):
             spec = parse_spec(spec)
-        mats = self.context.matrices(list(intervals))
+        mats = IntervalSetMatrices(list(intervals), cache=self.context.cut_cache)
         if isinstance(spec, Relation):
             return mats.relation_matrix(spec, mask_diagonal=mask_diagonal)
         return mats.spec_matrix(

@@ -3,10 +3,7 @@
 Theorem 19/20 reduce every one of the 40 evaluable specs (8 base
 relations + the 32-member proxy family) to one of 24 distinct vector
 subtests per ordered pair (:data:`~repro.core.relations.SUBTEST_KEYS`).
-PR 4 exploited that factoring per pair, but still paid one Python
-dispatch per spec per pair — and the op-count win arrived with a
-wall-clock *loss* (BENCH_PR4: 0.80x).  This module removes the per-pair
-loop entirely:
+This module answers them over stacked operands, with no per-pair loop:
 
 * :func:`operand_tensor` reshapes one batched
   :class:`~repro.backends.stats.CutStats` fill over the interleaved
@@ -18,10 +15,13 @@ loop entirely:
   reduction passes, producing the ``(Q, 24)`` boolean verdict matrix
   that :class:`~repro.core.evaluator.SharedVerdictCache` scatters into
   its per-pair memo in one pass;
-* :data:`RELATION_ROWS` / :func:`compare_rows` are the single source of
-  the per-relation comparison formulas, shared with the all-pairs and
-  gather kernels of :mod:`repro.core.pairwise` so the batched, matrix
-  and scalar surfaces cannot drift apart.
+* :func:`subtest_verdicts` (one key, Q pairs: the batch planner's
+  gather) and :func:`subtest_matrix` (one key, all k² pairs:
+  :mod:`repro.core.pairwise`) read the same tensor through a subtest
+  key and the formulas of :func:`compare_rows`, so no surface keeps a
+  formula table of its own — base relations included, which
+  :func:`~repro.core.relations.subtest_key` maps onto per-node proxy
+  operand rows.
 
 Layering: this module sits beside :mod:`repro.core.relations` and below
 :mod:`repro.core.context` — it sees only stacked arrays, never
@@ -38,7 +38,6 @@ from ..backends.stats import CutStats
 from .relations import (
     SUBTEST_COLUMNS,
     SUBTEST_KEYS,
-    Relation,
     SubtestKey,
     SubtestKind,
 )
@@ -48,9 +47,9 @@ __all__ = [
     "N_SUBTESTS",
     "OPERAND_ORDER",
     "OPERAND_INDEX",
-    "RELATION_ROWS",
     "operand_tensor",
     "verdict_matrix",
+    "subtest_verdicts",
     "subtest_matrix",
     "compare_rows",
 ]
@@ -71,24 +70,6 @@ OPERAND_INDEX: dict[tuple[str, str], int] = {
 
 N_OPERANDS: int = len(OPERAND_ORDER)
 N_SUBTESTS: int = len(SUBTEST_KEYS)
-
-#: Base relation → ``(kind, y_stat, x_stat)`` comparison row — the
-#: formula table behind the all-pairs/gather kernels
-#: (:mod:`repro.core.pairwise`).  Stat names select attributes of the
-#: *full-interval* :class:`~repro.backends.stats.CutStats`; the proxy
-#: coincidences of :func:`~repro.core.relations.subtest_key` make these
-#: rows identical to the canonical family subtests.
-RELATION_ROWS: dict[Relation, tuple[SubtestKind, str, str]] = {
-    Relation.R1: (SubtestKind.FORALL_PAST, "c1", "last"),
-    Relation.R1P: (SubtestKind.FORALL_PAST, "c1", "last"),
-    Relation.R2: (SubtestKind.FORALL_PAST, "c2", "last"),
-    Relation.R2P: (SubtestKind.EXISTS_CUT, "c2", "c4"),
-    Relation.R3: (SubtestKind.EXISTS_CUT, "c1", "c3"),
-    Relation.R3P: (SubtestKind.FORALL_FUTURE, "first", "c3"),
-    Relation.R4: (SubtestKind.EXISTS_CUT, "c2", "c3"),
-    Relation.R4P: (SubtestKind.EXISTS_CUT, "c2", "c3"),
-}
-
 
 def compare_rows(
     kind: SubtestKind, y: np.ndarray, x: np.ndarray
@@ -195,12 +176,28 @@ def verdict_matrix(
     return out
 
 
+def subtest_verdicts(
+    ops: np.ndarray, key: SubtestKey, xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """One subtest key's verdicts for Q ordered pairs.
+
+    The single-column form of :func:`verdict_matrix`: ``xs``/``ys`` are
+    length-Q intp row indices into the ``(k, 12, P)`` operand tensor
+    ``ops``; one gather per side selects the key's operand rows and one
+    comparison/reduction pass answers every pair.
+    """
+    kind, yop, xop = key
+    return compare_rows(
+        kind, ops[ys, OPERAND_INDEX[yop]], ops[xs, OPERAND_INDEX[xop]]
+    )
+
+
 def subtest_matrix(ops: np.ndarray, key: SubtestKey) -> np.ndarray:
     """All-pairs ``(k, k)`` matrix for one subtest key.
 
     ``M[i, j]`` answers the subtest with ``intervals[i]`` as X and
     ``intervals[j]`` as Y — the broadcast form of :func:`verdict_matrix`
-    used by :meth:`~repro.core.pairwise.IntervalSetMatrices.spec_matrix`.
+    behind :class:`~repro.core.pairwise.IntervalSetMatrices`.
     """
     kind, yop, xop = key
     y = ops[:, OPERAND_INDEX[yop]][None, :, :]

@@ -241,8 +241,9 @@ def subtest_key(spec: "Relation | RelationSpec") -> SubtestKey:
       cut pairs of Table 2) plus 12 extremal-row sweeps.
 
     This is the memo key of
-    :class:`~repro.core.evaluator.SharedVerdictCache` and the
-    spec-matrix memo of :class:`~repro.core.pairwise.IntervalSetMatrices`.
+    :class:`~repro.core.evaluator.SharedVerdictCache` and the operand
+    selector of the batch planner and of
+    :class:`~repro.core.pairwise.IntervalSetMatrices`.
     """
     cached = _KEY_CACHE.get(spec)
     if cached is None:

@@ -145,11 +145,6 @@ class ClockTable:
         """Per-node ``(k_i, P)`` views, in node order (zero-copy)."""
         return [self.node_view(i) for i in range(self.num_nodes)]
 
-    def flat_index(self, eid: EventId) -> int:
-        """The flat row index of event ``eid``."""
-        node, idx = eid
-        return int(self.offsets[node]) + idx - 1
-
     def flat_indices(self, ids: Sequence[EventId]) -> np.ndarray:
         """Flat row indices for a sequence of event ids (vectorized)."""
         arr = np.asarray(ids, dtype=np.int64).reshape(-1, 2)

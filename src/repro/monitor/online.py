@@ -450,15 +450,9 @@ class OnlineMonitor:
         matrices.  No tagged event is revisited.
         """
         xfirst, xlast = x.extremal_vectors(proxy_x)
-        ty1, ty2 = y.past_cuts(proxy_y)
-        if relation in (Relation.R1, Relation.R1P):
-            return bool(np.all((xlast == 0) | (ty1 >= xlast)))
-        if relation is Relation.R2:
-            return bool(np.all((xlast == 0) | (ty2 >= xlast)))
-        if relation is Relation.R3:
-            return bool(np.any((xfirst >= 1) & (ty1 >= xfirst)))
-        if relation in (Relation.R4, Relation.R4P):
-            return bool(np.any((xfirst >= 1) & (ty2 >= xfirst)))
+        if relation in _VECTOR_RELATIONS:
+            ty1, ty2 = y.past_cuts(proxy_y)
+            return bool(_past_only(relation, xfirst, xlast, ty1, ty2))
         first_stack, last_stack = y.clock_stacks(proxy_y)
         if relation is Relation.R2P:
             return bool(
@@ -540,24 +534,14 @@ class OnlineMonitor:
                 xl_rows.append(xlast)
                 t1_rows.append(ty1)
                 t2_rows.append(ty2)
-            xfirst = np.stack(xf_rows)
-            xlast = np.stack(xl_rows)
-            ty1 = np.stack(t1_rows)
-            ty2 = np.stack(t2_rows)
-            if relation in (Relation.R1, Relation.R1P):
-                out = np.all((xlast == 0) | (ty1 >= xlast), axis=1)
-            elif relation is Relation.R2:
-                out = np.all((xlast == 0) | (ty2 >= xlast), axis=1)
-            elif relation is Relation.R3:
-                out = np.any((xfirst >= 1) & (ty1 >= xfirst), axis=1)
-            else:  # R4 / R4'
-                out = np.any((xfirst >= 1) & (ty2 >= xfirst), axis=1)
+            out = _past_only(
+                relation,
+                np.stack(xf_rows), np.stack(xl_rows),
+                np.stack(t1_rows), np.stack(t2_rows),
+            )
             for atom, v in zip(members, out.tolist(), strict=True):
                 verdicts[atom] = v
         return verdicts
-
-    def _atom_eval(self, atom: Atom) -> bool:
-        return self.holds(atom.spec, atom.left, atom.right)
 
     # ------------------------------------------------------------------
     # finalisation
@@ -595,6 +579,31 @@ class OnlineMonitor:
         from ..core.context import AnalysisContext
 
         return AnalysisContext.of(self.to_execution())
+
+
+def _past_only(
+    relation: Relation,
+    xfirst: np.ndarray,
+    xlast: np.ndarray,
+    ty1: np.ndarray,
+    ty2: np.ndarray,
+) -> np.ndarray:
+    """The past-only conditions of :data:`_VECTOR_RELATIONS`, reduced
+    over the last (node) axis.
+
+    ``xfirst``/``xlast`` are X̂'s dense extremal-index vectors (0 off
+    ``N_X``: neutral for the ∀-rows because clock components are ≥ 0,
+    masked for the ∃-rows by ``first ≥ 1``); ``ty1``/``ty2`` are
+    ``T(∩⇓Ŷ)``/``T(∪⇓Ŷ)``.  Single vectors give a scalar, ``(a, P)``
+    stacks one verdict per row.
+    """
+    if relation in (Relation.R1, Relation.R1P):
+        return np.all((xlast == 0) | (ty1 >= xlast), axis=-1)
+    if relation is Relation.R2:
+        return np.all((xlast == 0) | (ty2 >= xlast), axis=-1)
+    if relation is Relation.R3:
+        return np.any((xfirst >= 1) & (ty1 >= xfirst), axis=-1)
+    return np.any((xfirst >= 1) & (ty2 >= xfirst), axis=-1)  # R4 / R4'
 
 
 def _collect_atoms(cond: Condition) -> list[Atom]:

@@ -3,8 +3,8 @@
 Property tests for the columnar substrate: the one-pass cut fill
 (:func:`repro.core.cuts.cut_stats`) must agree with the per-interval
 folds, and :meth:`~repro.core.evaluator.SynchronizationAnalyzer.batch_holds`
-(grouped by spec, one fancy-indexed gather per group from the all-pairs
-matrices) must agree with the definition-level
+(grouped by subtest key, one fancy-indexed gather per group from one
+family operand tensor) must agree with the definition-level
 :class:`~repro.core.naive.NaiveEvaluator` on random executions — over
 all 8 base relations and all 32 family members.
 """
@@ -67,12 +67,11 @@ class TestGatherKernelVsNaive:
         naive = SynchronizationAnalyzer(
             ex, engine="naive", check_disjoint=False
         )
-        # both orientations per spec: every spec group has two queries,
-        # so the planner takes the matrix-and-gather path, not the
-        # scalar fallback
+        # both orientations of every spec, through the planner's one
+        # operand tensor and per-subtest gathers
         queries = [(spec, a, b) for spec in ALL_SPECS for a, b in ((x, y), (y, x))]
         batched = SynchronizationAnalyzer(ex, check_disjoint=False).batch_holds(
-            queries, min_group=2
+            queries
         )
         expected = [naive.holds(s, a, b) for s, a, b in queries]
         assert batched == expected

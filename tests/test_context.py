@@ -38,6 +38,12 @@ from repro.events.poset import Execution
 from repro.events.trace import Trace, TraceError
 from repro.monitor.online import OnlineMonitor
 from repro.nonatomic.event import NonatomicEvent
+from repro.nonatomic.proxies import (
+    Proxy,
+    ProxyDefinition,
+    ProxyUndefinedError,
+    proxy_of,
+)
 
 from .strategies import executions, execution_with_pair, traces
 
@@ -47,6 +53,15 @@ _CUT_FNS = {"C1": cut_C1, "C2": cut_C2, "C3": cut_C3, "C4": cut_C4}
 def _clone(x: NonatomicEvent) -> NonatomicEvent:
     """A fresh interval object (empty per-instance cache, same identity)."""
     return NonatomicEvent(x.execution, x.ids, name=x.name)
+
+
+def _has_global_proxies(x: NonatomicEvent) -> bool:
+    try:
+        for which in Proxy:
+            proxy_of(x, which, ProxyDefinition.GLOBAL)
+    except ProxyUndefinedError:
+        return False
+    return True
 
 
 def _replay(num_nodes: int, ops: list[tuple[int, int, int]]) -> Trace:
@@ -228,12 +243,59 @@ class TestBatchPlanner:
             for y in intervals
             if x is not y
         ]
-        batched = an.batch_holds(queries)  # 12 per spec -> vectorised
+        batched = an.batch_holds(queries)
         for (spec, x, y), got in zip(queries, batched, strict=True):
             assert got == an.holds(spec, x, y), (spec, x.name, y.name)
             assert got == naive.holds(spec, x, y), (spec, x.name, y.name)
 
-    def test_small_groups_fall_back_to_scalar(self):
+        # single-node halves of every node's events (they overlap the
+        # chunks above, and their Definition-3 global proxies exist)
+        singles = []
+        for node in range(ex.num_nodes):
+            own = [e for e in ids if e[0] == node]
+            for n, half in enumerate((own[: len(own) // 2], own[len(own) // 2:])):
+                if half:
+                    singles.append(NonatomicEvent(ex, half, name=f"S{node}.{n}"))
+        pool = intervals + singles
+        pairs = [
+            (x, y) for x in pool for y in pool
+            if x is not y and x.ids.isdisjoint(y.ids)
+        ]
+        # every spec group reads its own subset of the intervals
+        queries = [
+            (spec, x, y)
+            for k, spec in enumerate(specs)
+            for x, y in pairs[k % 3::3]
+        ]
+        batched = an.batch_holds(queries)
+        for (spec, x, y), got in zip(queries, batched, strict=True):
+            assert got == an.holds(spec, x, y), (spec, x.name, y.name)
+
+        # a GLOBAL analyzer reads global proxies for family specs only;
+        # base relations keep the per-node operands, also on the chunks,
+        # whose global proxies may not exist
+        glob = SynchronizationAnalyzer(
+            ex, proxy_definition=ProxyDefinition.GLOBAL
+        )
+        defined = [iv for iv in pool if _has_global_proxies(iv)]
+        queries = [
+            (rel, x, y)
+            for rel in BASE_RELATIONS
+            for x in intervals
+            for y in intervals
+            if x is not y
+        ] + [
+            (spec, x, y)
+            for spec in FAMILY32
+            for x in defined
+            for y in defined
+            if x.ids.isdisjoint(y.ids)
+        ]
+        batched = glob.batch_holds(queries)
+        for (spec, x, y), got in zip(queries, batched, strict=True):
+            assert got == glob.holds(spec, x, y), (spec, x.name, y.name)
+
+    def test_single_query_and_empty_batch(self):
         b = TraceBuilder(2)
         a0 = b.internal(0)
         m = b.send(0)

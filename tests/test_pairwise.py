@@ -28,15 +28,8 @@ class TestConstruction:
             NonatomicEvent(message_exec, [(1, 2), (0, 3)]),
         ]
         mats = IntervalSetMatrices(ivs)
-        assert mats.c1.shape == (2, 2)
         assert len(mats) == 2
-
-    def test_node_set_encoding(self, message_exec):
-        iv = NonatomicEvent(message_exec, [(1, 2)])
-        mats = IntervalSetMatrices([iv])
-        assert mats.first[0, 0] == 0  # node 0 not in N_X
-        assert mats.first[0, 1] == 2
-        assert mats.last[0, 1] == 2
+        assert mats.relation_matrix(Relation.R1).shape == (2, 2)
 
 
 class TestAgainstScalarEngine:
