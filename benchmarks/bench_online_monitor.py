@@ -12,6 +12,11 @@ incrementally maintained cuts, finalisation zero-copy — against the
 rebuild-per-close baseline (a cold offline
 :class:`~repro.events.poset.Execution` per close, i.e. a full forward
 clock pass over every event observed so far).
+
+:func:`test_close_cost_flat_in_pending_watches` checks that a close
+costs the same with 64 or 1024 unrelated watches pending: pending
+watches wait under the intervals they name, and a close touches only
+its own.
 """
 
 import time
@@ -128,4 +133,38 @@ def test_streaming_vs_rebuild_per_close():
           f"rebuild-per-close {rebuild_t*1e3:.1f} ms, {speedup:.1f}x")
     assert speedup >= 5.0, (
         f"streaming path only {speedup:.1f}x vs rebuild-per-close"
+    )
+
+
+def _per_close_s(pending: int, closes: int = 64, reps: int = 5) -> float:
+    """Best-of-``reps`` seconds per close, each close deciding one watch,
+    with ``pending`` watches waiting on intervals that never close."""
+    best = float("inf")
+    for _ in range(reps):
+        om = OnlineMonitor(2)
+        for i in range(pending):
+            om.watch(f"idle{i}", f"R1(P{i}, Q{i}) and R4(Q{i}, P{i})")
+        for j in range(closes):
+            om.internal(0, interval=f"C{j}")
+            om.internal(1, interval=f"C{j}")
+            om.watch(f"w{j}", f"R4(C{j}, C{j})")
+        t0 = time.perf_counter()
+        for j in range(closes):
+            om.close(f"C{j}")
+        best = min(best, time.perf_counter() - t0)
+        assert len(om.notifications) == closes
+        assert len(om.watch_names()) == pending
+    return best / closes
+
+
+def test_close_cost_flat_in_pending_watches():
+    """Per-close cost with 1024 unrelated watches pending stays within
+    2x of the cost with 64 (a close that rescanned every pending watch
+    would cost about 16x)."""
+    small, large = _per_close_s(64), _per_close_s(1024)
+    ratio = large / small
+    print(f"\nper close: {small * 1e6:.1f} us with 64 pending watches, "
+          f"{large * 1e6:.1f} us with 1024 ({ratio:.2f}x)")
+    assert ratio <= 2.0, (
+        f"close cost grew {ratio:.1f}x from 64 to 1024 pending watches"
     )

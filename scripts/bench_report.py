@@ -29,7 +29,12 @@ JSON (default ``BENCH_PR8.json``):
 * ``service_ingest``: sustained events/sec through the live networked
   monitoring service over loopback TCP with concurrent sharded
   clients (sockets + framing + asyncio sessions + core + streaming
-  clock table), clock-pass counters recorded and required zero.
+  clock table), clock-pass counters recorded and required zero;
+* ``core_ingest``: events/sec through
+  :class:`~repro.service.core.MonitorCore` alone (no transport), the
+  same number of events submitted in causal order at 8 and at 64
+  nodes, with the 64-node rate as a share of the 8-node rate (an
+  ingest cost that does not grow with the node count keeps it near 1).
 
 Usage::
 
@@ -46,7 +51,7 @@ reported as measured.
 
 ``--baseline PRIOR.json`` additionally diffs the current gated rates
 (``clock_build``, ``cut_fill``, ``batch_planner``, ``backend_*``,
-``family_query``, ``service_ingest``)
+``family_query``, ``service_ingest``, ``core_ingest``)
 against a prior report and exits nonzero on a >25% regression (sections
 whose workload sizes differ are skipped with a note, so quick runs are
 only compared against quick baselines).
@@ -81,7 +86,10 @@ from repro.events.poset import Execution  # noqa: E402
 from repro.nonatomic.event import NonatomicEvent  # noqa: E402
 from repro.simulation.workloads import random_trace  # noqa: E402
 
-from benchmarks.bench_service_ingest import run_service_ingest  # noqa: E402
+from benchmarks.bench_service_ingest import (  # noqa: E402
+    chunked_labels,
+    run_service_ingest,
+)
 from benchmarks.common import (  # noqa: E402
     best_of,
     disjoint_intervals,
@@ -187,6 +195,54 @@ def bench_online_ingest(
         "rebuild_events_per_sec": total / rebuild_t,
         "speedup": rebuild_t / online_t,
         "clock_passes": passes,  # streaming runs: all zero
+    }
+
+
+def bench_core_ingest(
+    node_counts: tuple[int, ...], events: int, chunk: int, reps: int
+) -> dict:
+    """Best-of-``reps`` events/sec of a fresh in-memory
+    :class:`~repro.service.core.MonitorCore` fed one client's replay
+    frames (events in causal order, per-chunk interval closes) of a
+    ``events``-event trace, at each node count.  The node counts take
+    turns within every rep, so a drift in the host's speed reaches all
+    of them alike."""
+    from repro.service import MonitorCore
+    from repro.service.client import plan_replay
+
+    traces = {
+        nodes: chunked_labels(
+            random_trace(nodes, events_per_node=events // nodes,
+                         msg_prob=0.3, seed=31),
+            chunk,
+        )
+        for nodes in node_counts
+    }
+    plans = {nodes: plan_replay(trace) for nodes, trace in traces.items()}
+    best = dict.fromkeys(node_counts, float("inf"))
+    for _ in range(reps):
+        for nodes, frames in plans.items():
+            core = MonitorCore(nodes)
+            t0 = time.perf_counter()
+            for f in frames:
+                if f["type"] == "event":
+                    core.submit_event(f)
+                else:
+                    core.submit_close(f["interval"], f["expected"])
+            best[nodes] = min(best[nodes], time.perf_counter() - t0)
+            assert core.pending() == 0, "core left operations parked"
+    rates = {
+        str(nodes): traces[nodes].total_events / best[nodes]
+        for nodes in node_counts
+    }
+    return {
+        "nodes": list(node_counts),
+        "events": events,
+        "chunk": chunk,
+        "events_per_sec": rates,
+        "share_of_smallest": (
+            rates[str(node_counts[-1])] / rates[str(node_counts[0])]
+        ),
     }
 
 
@@ -374,6 +430,8 @@ _GATED = (
      lambda s: s["cached_verdicts_per_sec"]),
     ("service_ingest", ("nodes", "events", "clients"),
      lambda s: s["events_per_sec"]),
+    ("core_ingest", ("nodes", "events", "chunk"),
+     lambda s: min(s["events_per_sec"].values())),
 )
 
 
@@ -444,7 +502,8 @@ def main(argv=None) -> int:
                      sp_nodes=16, sp_events=40, sp_k=8,
                      dn_nodes=4, dn_events=40, dn_k=24, dn_reps=12,
                      svc_nodes=4, svc_events=40, svc_clients=2,
-                     svc_chunk=20, svc_reps=1)
+                     svc_chunk=20, svc_reps=1, core_events=2048,
+                     core_reps=3)
     else:
         sizes = dict(nodes=16, events=64, fill_k=256, plan_k=128, reps=5,
                      stream_nodes=8, stream_events=1250, chunk=125,
@@ -452,7 +511,8 @@ def main(argv=None) -> int:
                      sp_nodes=48, sp_events=150, sp_k=16,
                      dn_nodes=4, dn_events=120, dn_k=64, dn_reps=50,
                      svc_nodes=8, svc_events=1250, svc_clients=4,
-                     svc_chunk=125, svc_reps=3)
+                     svc_chunk=125, svc_reps=3, core_events=16384,
+                     core_reps=15)
 
     report = {
         "host": {
@@ -491,6 +551,9 @@ def main(argv=None) -> int:
         "service_ingest": run_service_ingest(
             sizes["svc_nodes"], sizes["svc_events"], sizes["svc_clients"],
             sizes["svc_chunk"], sizes["svc_reps"],
+        ),
+        "core_ingest": bench_core_ingest(
+            (8, 64), sizes["core_events"], sizes["chunk"], sizes["core_reps"],
         ),
     }
     # the same family workload through the non-default backend, so the
@@ -553,6 +616,12 @@ def main(argv=None) -> int:
           f"loopback ({si['clients']} clients, {si['events']} events, "
           f"{si['closes']} closes, {si['throttles']} throttles; "
           f"clock passes {si['clock_passes']})")
+    ci = report["core_ingest"]
+    print(f"  core ingest:    "
+          + ", ".join(f"{rate:,.0f} events/sec at {n} nodes"
+                      for n, rate in ci["events_per_sec"].items())
+          + f" ({ci['events']} events in order; {ci['nodes'][-1]}-node "
+          f"rate {ci['share_of_smallest']:.0%} of {ci['nodes'][0]}-node)")
     for fq_name in ("family_query", f"family_query_{other}"):
         fq = report[fq_name]
         vs_pr4 = (

@@ -45,9 +45,13 @@ Usage: feed events through :meth:`OnlineMonitor.internal` /
 :meth:`send` / :meth:`recv`, tag them into named intervals, ``close``
 an interval when the application activity completes, and query
 :meth:`holds` — or register :meth:`watch` conditions that fire as soon
-as every interval they mention is closed (all watches decidable at one
-``close`` are batch-evaluated in one NumPy pass over the stacked
-per-atom operand matrices).
+as every interval they mention is closed.  Pending watches are indexed
+by the intervals they wait for: registration reads a condition's
+interval names once, and a ``close`` touches only the watches waiting
+on that interval, so its cost does not grow with the number of
+unrelated pending watches.  All watches decidable at one ``close`` are
+batch-evaluated in one NumPy pass over the stacked per-atom operand
+matrices.
 """
 
 from __future__ import annotations
@@ -255,6 +259,7 @@ class OnlineMonitor:
 
     __slots__ = (
         "_builder", "num_nodes", "_table", "_intervals", "_watches",
+        "_next_watch", "_waiting", "_open", "_ready", "_watch_counts",
         "notifications", "_now", "_finalized",
     )
 
@@ -263,7 +268,16 @@ class OnlineMonitor:
         self.num_nodes = num_nodes
         self._table = make_streaming_table(num_nodes)
         self._intervals: dict[str, OnlineInterval] = {}
-        self._watches: list[tuple[str, Condition]] = []
+        # pending watches by registration number (dicts keep insertion,
+        # i.e. registration, order); a watch waits in ``_waiting`` under
+        # each interval it names that is still open, ``_open`` counts
+        # those intervals, and a watch with none left is ``_ready``
+        self._watches: dict[int, tuple[str, Condition]] = {}
+        self._next_watch = 0
+        self._waiting: dict[str, list[int]] = {}
+        self._open: dict[int, int] = {}
+        self._ready: list[int] = []
+        self._watch_counts: dict[str, int] = {}
         self.notifications: list[WatchNotification] = []
         self._now = 0.0
         self._finalized: tuple[int, Execution] | None = None
@@ -361,9 +375,12 @@ class OnlineMonitor:
         """Mark an interval complete; fires any now-decidable watches.
 
         The interval's close-time folds (``T(∩⇓U_Y)`` and the stacked
-        clock matrices) are computed here, once; every watch that
-        became decidable is evaluated in one batched NumPy pass over
-        the stacked per-atom operand matrices.
+        clock matrices) are computed here, once.  Only the watches
+        waiting on this interval are touched: each one's count of open
+        intervals drops by one, and those left with none become ready.
+        Every ready watch is then evaluated by :meth:`poll_watches` in
+        one batched NumPy pass over the stacked per-atom operand
+        matrices.  Closing an already closed interval only polls.
 
         Raises
         ------
@@ -375,54 +392,85 @@ class OnlineMonitor:
         iv = self._intervals[name]
         if iv.count == 0:
             raise ValueError(f"cannot close empty interval {name!r}")
-        iv.closed = True
+        if not iv.closed:
+            iv.closed = True
+            for wid in self._waiting.pop(name, ()):
+                left = self._open[wid] - 1
+                if left:
+                    self._open[wid] = left
+                else:
+                    del self._open[wid]
+                    self._ready.append(wid)
         iv._finalize()
         return self.poll_watches()
 
     def poll_watches(self) -> list[WatchNotification]:
-        """Fire every currently decidable watch.
+        """Fire every ready watch: those whose intervals are all closed.
 
         Normally driven by :meth:`close`, but callable directly — e.g.
         when a watch is registered *after* all the intervals it
         mentions have already closed (the networked service accepts
-        watches at any point in a session).  Decidable watches are
-        batch-evaluated in one NumPy pass and removed; each fires at
-        most once.
+        watches at any point in a session), which makes it ready at
+        once.  Only ready watches are read, never the other pending
+        ones; they are batch-evaluated in one NumPy pass, fired in
+        registration order and removed, so each fires at most once.
         """
+        if not self._ready:
+            return []
+        ready = sorted(self._ready)
+        decidable = [self._watches[wid] for wid in ready]
+        verdicts = self._batch_eval_atoms([c for _, c in decidable])
+        self._ready = []
         fired: list[WatchNotification] = []
-        remaining: list[tuple[str, Condition]] = []
-        decidable: list[tuple[str, Condition]] = []
-        for wname, cond in self._watches:
-            needed = cond.names()
-            if all(
-                n in self._intervals and self._intervals[n].closed for n in needed
-            ):
-                decidable.append((wname, cond))
+        for wid, (wname, cond) in zip(ready, decidable, strict=True):
+            del self._watches[wid]
+            left = self._watch_counts[wname] - 1
+            if left:
+                self._watch_counts[wname] = left
             else:
-                remaining.append((wname, cond))
-        if decidable:
-            verdicts = self._batch_eval_atoms([c for _, c in decidable])
-            for wname, cond in decidable:
-                note = WatchNotification(
-                    name=wname,
-                    condition=cond,
-                    passed=cond.evaluate(lambda atom: verdicts[atom]),
-                    decided_at=self._now,
-                )
-                fired.append(note)
-                self.notifications.append(note)
-        self._watches = remaining
+                del self._watch_counts[wname]
+            note = WatchNotification(
+                name=wname,
+                condition=cond,
+                passed=cond.evaluate(lambda atom: verdicts[atom]),
+                decided_at=self._now,
+            )
+            fired.append(note)
+            self.notifications.append(note)
         return fired
 
     def watch(self, name: str, condition: str | Condition) -> None:
-        """Register a condition to evaluate once its intervals close."""
+        """Register a condition to evaluate once its intervals close.
+
+        The condition's interval names are read here, once; the watch
+        then waits under each of them that is not closed yet.  Several
+        watches may share a name; each fires on its own.
+        """
         if isinstance(condition, str):
             condition = parse_condition(condition)
-        self._watches.append((name, condition))
+        wid = self._next_watch
+        self._next_watch += 1
+        self._watches[wid] = (name, condition)
+        self._watch_counts[name] = self._watch_counts.get(name, 0) + 1
+        still_open = 0
+        for needed in condition.names():
+            iv = self._intervals.get(needed)
+            if iv is None or not iv.closed:
+                self._waiting.setdefault(needed, []).append(wid)
+                still_open += 1
+        if still_open:
+            self._open[wid] = still_open
+        else:
+            self._ready.append(wid)
 
     def watch_names(self) -> tuple[str, ...]:
-        """Names of the watches still pending (not yet fired)."""
-        return tuple(name for name, _ in self._watches)
+        """Names of the watches still pending (not yet fired), in
+        registration order."""
+        return tuple(name for name, _ in self._watches.values())
+
+    def watch_pending(self, name: str) -> bool:
+        """Whether a watch named ``name`` is still pending; O(1)."""
+        return name in self._watch_counts
 
     # ------------------------------------------------------------------
     # past-only relation evaluation

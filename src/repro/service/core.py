@@ -13,10 +13,16 @@ failover tests can drive the state machine directly:
   finalisation keep the streaming fast path's **zero offline clock
   passes**.
 * **Causal parking** — a receive arriving before its send (normal
-  under multi-client sharded replay) parks its node's queue; the pump
-  re-sweeps after every application until a fixpoint.  Interval
-  closes carry the *expected* tag count and apply once the count is
-  reached, so any client of a sharded replay may issue them.
+  under multi-client sharded replay) parks its node's queue.  Parked
+  work is indexed by what unblocks it: a parked queue head waits under
+  the ``(node, index)`` of the send it receives, and applying that send
+  wakes that node's queue alone.  Interval closes carry the *expected*
+  tag count and apply once the count is reached, so any client of a
+  sharded replay may issue them; a pending close waits under its
+  interval and is checked only when it is submitted and when an event
+  is tagged into that interval.  No submit rescans the other queues
+  or pending closes, so the cost of an in-order event does not grow
+  with the number of nodes.
 * **The log** — every applied operation is appended (in application
   order, which makes the log replayable without parking) before its
   effects are visible to any client; see :mod:`repro.service.log`.
@@ -67,9 +73,9 @@ class ShardCounters:
 
 @dataclass
 class _PendingClose:
-    """A ``close`` op waiting for its interval to reach ``expected``."""
+    """A ``close`` op waiting for its interval (the key it is parked
+    under) to reach ``expected``."""
 
-    interval: str
     expected: int
     session: int | None
     submitted_at: float = 0.0
@@ -118,7 +124,13 @@ class MonitorCore:
         self._monitor = OnlineMonitor(num_nodes)
         self._handles: dict[EventId, Any] = {}
         self._queues: list[deque] = [deque() for _ in range(num_nodes)]
-        self._pending_closes: list[_PendingClose] = []
+        # the send each parked queue head awaits (None: not parked),
+        # the parked nodes by awaited send, and the woken nodes whose
+        # queues the pump still has to drain
+        self._blocked: list[tuple[int, int] | None] = [None] * num_nodes
+        self._awaiting: dict[tuple[int, int], list[int]] = {}
+        self._runnable: deque[int] = deque()
+        self._pending_closes: dict[str, list[_PendingClose]] = {}
         self._pending_by_session: dict[int, int] = {}
         self.shards = [ShardCounters() for _ in range(self.num_shards)]
         self._log = log
@@ -275,9 +287,10 @@ class MonitorCore:
     ) -> list[dict[str, Any]]:
         """Enqueue one event frame; returns any verdicts that fired.
 
-        The event is validated, queued on its node's shard, and the
-        pump applies everything that became applicable (this event,
-        parked receives it unblocked, deferred closes it completed).
+        The event is validated and queued on its node's shard.  Unless
+        that queue is parked behind a receive, the pump applies the
+        event and everything it unblocks: queues parked on a send it
+        applied, and pending closes of an interval it completed.
         """
         rec = self._validate_event(rec)
         node = rec["node"]
@@ -289,6 +302,8 @@ class MonitorCore:
             self._pending_by_session[session] = (
                 self._pending_by_session.get(session, 0) + 1
             )
+        if self._blocked[node] is None:
+            self._runnable.append(node)
         return self._pump()
 
     def submit_close(
@@ -304,14 +319,16 @@ class MonitorCore:
             raise ValueError("close needs a non-empty interval name")
         if not isinstance(expected, int) or expected < 1:
             raise ValueError("close needs expected >= 1")
-        self._pending_closes.append(
-            _PendingClose(interval, expected, session, self._clock())
+        self._pending_closes.setdefault(interval, []).append(
+            _PendingClose(expected, session, self._clock())
         )
         if session is not None:
             self._pending_by_session[session] = (
                 self._pending_by_session.get(session, 0) + 1
             )
-        return self._pump()
+        out = self._pump()
+        self._check_closes(interval, out)
+        return out
 
     def submit_watch(
         self, name: str, condition: str, session: int | None = None
@@ -331,13 +348,15 @@ class MonitorCore:
         """Whether ``name`` is already registered (or already decided);
         lets a restarted service skip re-submitting startup watches that
         the resumed log replayed."""
-        return name in self._emitted or name in self._monitor.watch_names()
+        return name in self._emitted or self._monitor.watch_pending(name)
 
     def pending(self, session: int | None = None) -> int:
         """Unapplied (parked) operations — of one session, or total."""
         if session is not None:
             return self._pending_by_session.get(session, 0)
-        return sum(len(q) for q in self._queues) + len(self._pending_closes)
+        return sum(len(q) for q in self._queues) + sum(
+            len(closes) for closes in self._pending_closes.values()
+        )
 
     def session_gone(self, session: int) -> None:
         """Forget per-session accounting after a disconnect."""
@@ -353,7 +372,8 @@ class MonitorCore:
 
     def _apply_event(self, rec: dict[str, Any]) -> None:
         """Feed one validated event into the monitor (no logging here:
-        the pump logs live submissions; replay must not re-log)."""
+        the pump logs live submissions; replay must not re-log).  An
+        applied send wakes the queues parked on it."""
         node, kind = rec["node"], rec["kind"]
         label = rec.get("label")
         t = rec.get("time")
@@ -361,6 +381,11 @@ class MonitorCore:
         if kind == "send":
             handle = self._monitor.send(node, label=label, time=t, interval=tag)
             self._handles[handle.send] = handle
+            woken = self._awaiting.pop(handle.send, None)
+            if woken is not None:
+                for parked in woken:
+                    self._blocked[parked] = None
+                self._runnable.extend(woken)
         elif kind == "recv":
             handle = self._handles[tuple(rec["send"])]
             self._monitor.recv(node, handle, label=label, time=t, interval=tag)
@@ -376,48 +401,74 @@ class MonitorCore:
                 self._pending_by_session[session] = left
 
     def _pump(self) -> list[dict[str, Any]]:
-        """Apply every applicable queued op until a fixpoint; returns
-        the verdict notifications emitted along the way."""
+        """Drain every runnable queue; returns the verdict notifications
+        emitted along the way."""
         out: list[dict[str, Any]] = []
-        progressed = True
-        while progressed:
-            progressed = False
-            for node, queue in enumerate(self._queues):
-                shard = self.shards[node % self.num_shards]
-                while queue and self._applicable(queue[0][0]):
-                    rec, session = queue.popleft()
-                    self._apply_event(rec)
-                    self._append({"op": "event", **rec})
-                    shard.queued -= 1
-                    shard.applied += 1
-                    self._settle(session)
-                    progressed = True
-            still: list[_PendingClose] = []
-            for close in self._pending_closes:
-                iv = self._monitor.interval(close.interval)
-                if iv.closed:
-                    self._settle(close.session)
-                    progressed = True
-                    continue  # duplicate close; first one won
-                if iv.count >= close.expected:
-                    notes = self._monitor.close(close.interval)
-                    self._closes_applied += 1
-                    self._append({
-                        "op": "close",
-                        "interval": close.interval,
-                        "expected": close.expected,
-                    })
-                    out.extend(
-                        self._handle_notifications(
-                            notes, submitted_at=close.submitted_at
-                        )
-                    )
-                    self._settle(close.session)
-                    progressed = True
-                else:
-                    still.append(close)
-            self._pending_closes = still
+        while self._runnable:
+            self._drain(self._runnable.popleft(), out)
         return out
+
+    def _drain(self, node: int, out: list[dict[str, Any]]) -> None:
+        """Apply ``node``'s queued events in order until it is empty or
+        its head is a receive whose send has not been applied; then
+        the node parks under that send."""
+        queue = self._queues[node]
+        shard = self.shards[node % self.num_shards]
+        while queue:
+            rec, session = queue[0]
+            if rec["kind"] == "recv":
+                s_node, s_idx = rec["send"]
+                send = (s_node, s_idx)
+                if send not in self._handles:
+                    self._blocked[node] = send
+                    self._awaiting.setdefault(send, []).append(node)
+                    return
+            queue.popleft()
+            try:
+                self._apply_event(rec)
+            except BaseException:
+                self._runnable.append(node)  # the rest of its queue stays due
+                raise
+            self._append({"op": "event", **rec})
+            shard.queued -= 1
+            shard.applied += 1
+            self._settle(session)
+            tag = rec.get("interval")
+            if tag is not None and tag in self._pending_closes:
+                self._check_closes(tag, out)
+
+    def _check_closes(self, interval: str, out: list[dict[str, Any]]) -> None:
+        """Apply the pending closes of ``interval`` its tag count has
+        reached, in submission order; the first to apply wins and the
+        rest are settled as duplicates."""
+        waiting = self._pending_closes.get(interval)
+        if not waiting:
+            return
+        iv = self._monitor.interval(interval)
+        still: list[_PendingClose] = []
+        for close in waiting:
+            if iv.closed:
+                self._settle(close.session)  # duplicate close; first one won
+            elif iv.count >= close.expected:
+                notes = self._monitor.close(interval)
+                self._closes_applied += 1
+                self._append({
+                    "op": "close",
+                    "interval": interval,
+                    "expected": close.expected,
+                })
+                out.extend(
+                    self._handle_notifications(
+                        notes, submitted_at=close.submitted_at
+                    )
+                )
+                self._settle(close.session)
+            else:
+                still.append(close)
+        if still:
+            self._pending_closes[interval] = still
+        else:
+            del self._pending_closes[interval]
 
     # ------------------------------------------------------------------
     # watch emission / replication / failover

@@ -152,32 +152,82 @@ class TestWatches:
         assert len(fired) == 1
         assert fired[0].name == "ordering"
         assert fired[0].passed
+        # registered after its intervals closed: fires on the next poll
+        om.watch("late", "R1(X, Y)")
+        assert om.watch_names() == ("late",)
+        fired = om.poll_watches()
+        assert [(n.name, n.passed) for n in fired] == [("late", True)]
+        assert om.poll_watches() == []
+        assert om.close("Y") == []  # closing again polls, fires nothing
 
     def test_watch_negative_result(self):
         om = OnlineMonitor(2)
         om.watch("impossible", "R1(Y, X)")
+        om.watch("impossible", "R4(X, X)")  # same name, fires on its own
         h = om.send(0, interval="X")
         om.recv(1, h, interval="Y")
-        om.close("X")
+        fired = om.close("X")
+        assert [(n.name, n.passed) for n in fired] == [("impossible", True)]
+        assert om.watch_names() == ("impossible",)
+        assert om.watch_pending("impossible")
         fired = om.close("Y")
-        assert not fired[0].passed
+        assert [(n.name, n.passed) for n in fired] == [("impossible", False)]
+        assert not om.watch_pending("impossible")
 
     def test_watch_waits_for_all_names(self):
         om = OnlineMonitor(3)
         om.watch("w", "R4(A, B) and R4(B, C)")
+        om.watch("ghost", "R4(A, Nowhere)")  # never-created interval
         om.internal(0, interval="A")
         om.internal(1, interval="B")
         om.internal(2, interval="C")
         assert om.close("A") == []
         assert om.close("B") == []
-        assert len(om.close("C")) == 1
+        assert [n.name for n in om.close("C")] == ["w"]
+        assert om.poll_watches() == []
+        assert om.watch_names() == ("ghost",)
+        assert om.watch_pending("ghost") and not om.watch_pending("w")
 
     def test_notifications_accumulate(self):
         om = OnlineMonitor(2)
-        om.watch("w1", "R4(X, Y)")
-        om.watch("w2", "not R4(Y, X)")
+        om.watch("w2", "R4(X, Y)")
+        om.watch("w1", "not R4(Y, X)")
         h = om.send(0, interval="X")
         om.recv(1, h, interval="Y")
-        om.close("X")
-        om.close("Y")
-        assert {n.name for n in om.notifications} == {"w1", "w2"}
+        assert om.close("X") == []
+        # ready at registration (its only interval is closed), but not
+        # fired until the next poll, which the close of Y drives
+        om.watch("w0", "R4(X, X)")
+        assert om.watch_names() == ("w2", "w1", "w0")
+        fired = om.close("Y")
+        # one close decides all three: fired in registration order
+        assert [n.name for n in fired] == ["w2", "w1", "w0"]
+        assert [n.name for n in om.notifications] == ["w2", "w1", "w0"]
+        assert om.watch_names() == ()
+
+    def test_interval_names_read_at_registration_only(self, monkeypatch):
+        """A close touches the watches waiting on its interval, and
+        reads no condition's interval names: those are read once, when
+        the watch is registered, however many watches are pending."""
+        from repro.monitor.predicates import Atom
+
+        calls = []
+        names = Atom.names
+
+        def counting(self):
+            calls.append(self)
+            return names(self)
+
+        monkeypatch.setattr(Atom, "names", counting)
+        om = OnlineMonitor(2)
+        for i in range(20):  # pending on intervals that never close
+            om.watch(f"idle{i}", f"R1(P{i}, Q{i})")
+        om.watch("xy", "R1(X, Y) and R4(X, Y)")
+        registered = len(calls)
+        h = om.send(0, interval="X")
+        om.recv(1, h, interval="Y")
+        assert om.close("X") == []
+        assert [n.name for n in om.close("Y")] == ["xy"]
+        assert om.poll_watches() == []
+        assert len(calls) == registered
+        assert len(om.watch_names()) == 20

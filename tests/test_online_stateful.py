@@ -3,7 +3,12 @@
 A hypothesis rule-based machine drives an :class:`OnlineMonitor` with
 an arbitrary interleaving of internal/send/receive observations and
 checks, at every step, that the incrementally maintained vector clocks
-match a from-scratch offline analysis of the trace so far.
+match a from-scratch offline analysis of the trace so far.  Internal
+events may be tagged into intervals that close at any point, and
+watches (duplicate names included) may be registered before or after
+the intervals they name close: the pending watches must always be
+exactly those with an interval still open, in registration order, and
+every other watch must have fired once.
 """
 
 from hypothesis import settings
@@ -20,6 +25,7 @@ from repro.events.poset import Execution
 from repro.monitor.online import OnlineMonitor
 
 NUM_NODES = 3
+INTERVALS = ("A", "B", "C")
 
 
 class OnlineMonitorMachine(RuleBasedStateMachine):
@@ -31,12 +37,47 @@ class OnlineMonitorMachine(RuleBasedStateMachine):
         self.shadow = TraceBuilder(NUM_NODES)
         self.in_flight = []  # (monitor_handle, shadow_handle)
         self.steps = 0
+        self.tagged = set()
+        self.closed = set()
+        self.watches = []  # (name, intervals named), in registration order
 
-    @rule(node=st.integers(0, NUM_NODES - 1))
-    def observe_internal(self, node):
-        self.monitor.internal(node)
+    @rule(
+        node=st.integers(0, NUM_NODES - 1),
+        interval=st.none() | st.sampled_from(INTERVALS),
+    )
+    def observe_internal(self, node, interval):
+        if interval in self.closed:
+            interval = None
+        self.monitor.internal(node, interval=interval)
         self.shadow.internal(node)
+        if interval is not None:
+            self.tagged.add(interval)
         self.steps += 1
+
+    @rule(interval=st.sampled_from(INTERVALS))
+    def close(self, interval):
+        if interval in self.tagged:  # closing twice only polls
+            self.monitor.close(interval)
+            self.closed.add(interval)
+
+    @rule(
+        name=st.sampled_from(("w0", "w1", "w2")),
+        left=st.sampled_from(INTERVALS),
+        right=st.sampled_from(INTERVALS),
+    )
+    def watch(self, name, left, right):
+        self.monitor.watch(name, f"R4({left}, {right})")
+        self.watches.append((name, {left, right}))
+        self.monitor.poll_watches()  # as the service does on registration
+
+    @invariant()
+    def pending_watches_are_those_still_open(self):
+        pending = [n for n, needed in self.watches if not needed <= self.closed]
+        assert self.monitor.watch_names() == tuple(pending)
+        fired = [n.name for n in self.monitor.notifications]
+        assert sorted(fired) == sorted(
+            n for n, needed in self.watches if needed <= self.closed
+        )
 
     @rule(node=st.integers(0, NUM_NODES - 1))
     def observe_send(self, node):

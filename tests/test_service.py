@@ -696,6 +696,27 @@ def _labelled(trace: Trace, marks: list[int]) -> Trace:
     )
 
 
+def _out_of_order(
+    frames: list[dict], node_order: list[int]
+) -> list[dict]:
+    """The same frames in an order the pump must park and reorder: every
+    close first and twice (a close before its events, and a duplicate),
+    then the events node by node in ``node_order``, each node's in
+    program order.  A receive then waits for a send of a node streamed
+    later, and the receives behind it on its node wait with it."""
+    closes = [f for f in frames if f["type"] == "close"]
+    events = [f for f in frames if f["type"] == "event"]
+    rank = {node: i for i, node in enumerate(node_order)}
+    events.sort(key=lambda f: rank[f["node"]])  # stable: program order kept
+    return closes + closes + events
+
+
+def _send_all(client: MonitorClient, frames: list[dict]) -> None:
+    for frame in frames:
+        client._send(frame)
+    client.poll()
+
+
 class TestServiceOfflineEquivalence:
     @settings(max_examples=12, deadline=None)
     @given(
@@ -712,6 +733,11 @@ class TestServiceOfflineEquivalence:
             ("w-mix", "R2(X, Y) or not R4(Y, X)"),
         ]
         num_shards = data.draw(st.integers(1, min(3, trace.num_nodes)))
+        # in causal order (as replay_trace streams it), or with every
+        # shard's frames out of order (see _out_of_order)
+        node_order = data.draw(
+            st.none() | st.permutations(range(trace.num_nodes))
+        )
         handle = _serve(num_nodes=trace.num_nodes)
         try:
             host, port = handle.address
@@ -722,10 +748,16 @@ class TestServiceOfflineEquivalence:
             for name, cond in watches:
                 clients[0].watch(name, cond)
             clients[0].stats()
+
+            def stream(client, shard):
+                if node_order is None:
+                    replay_trace(client, trace, shard, num_shards)
+                else:
+                    frames = plan_replay(trace, shard, num_shards)
+                    _send_all(client, _out_of_order(frames, node_order))
+
             threads = [
-                threading.Thread(
-                    target=replay_trace, args=(c, trace, s, num_shards)
-                )
+                threading.Thread(target=stream, args=(c, s))
                 for s, c in enumerate(clients)
             ]
             for t in threads:
@@ -736,16 +768,32 @@ class TestServiceOfflineEquivalence:
                 (v["name"], v["passed"])
                 for v in clients[0].wait_verdicts(len(watches))
             }
+            for c in clients:
+                c.stats()  # barrier: each session's frames all handled
             stats = clients[0].stats()
             for c in clients:
                 c.close()
+
+            async def log_of(service):
+                return service.core.records_from(0)
+
+            records = handle.call(log_of)
         finally:
             handle.stop()
         assert stats["clock_passes"] == {
             "forward": 0, "reverse": 0, "extend": 0,
         }
+        assert stats["parked"] == 0
+        assert stats["events_applied"] == trace.total_events
         for backend in ("vector", "reachability"):
             assert live == _offline_verdicts(trace, watches, backend), backend
+        # the log holds every applied op in an order that replays with
+        # no parking; without its verdict records, a core rebuilt from
+        # it derives the same verdicts again
+        rebuilt = MonitorCore.from_records(
+            [r for r in records if r["op"] != "verdict"]
+        )
+        assert {(v["name"], v["passed"]) for v in rebuilt.promote()} == live
 
 
 # ----------------------------------------------------------------------
@@ -819,38 +867,65 @@ class TestFailover:
     ):
         """If the primary dies between applying a close and confirming
         its verdict, the standby must emit that verdict at promotion —
-        once."""
-        primary_core = MonitorCore(1)
-        primary_core.submit_watch("w", "R4(X, X)")
-        primary_core.submit_event(_ev(0, interval="X"))
-        primary_core.submit_close("X", expected=1)
-        records = primary_core.records_from(0)
-        # the standby owns its own init record (seq 1); the verdict
-        # record died with the primary
-        confirmed = [
-            r for r in records if r["op"] not in ("verdict", "init")
+        once.  The primary gets its ops in causal order, and out of
+        order: the closes before their events (one of them twice) and
+        a chain of receives parked across nodes (node 2 waits on node
+        1, whose receive and send wait on node 0).  Either way its log
+        must replay in causal order."""
+        # X = {send (0,1), its recv (1,1)}; Y = {send (1,2), its recv
+        # (2,1)}: every event of X precedes every event of Y
+        events = [
+            _ev(0, "send", interval="X"),
+            _ev(1, "recv", send=[0, 1], interval="X"),
+            _ev(1, "send", interval="Y"),
+            _ev(2, "recv", send=[1, 2], interval="Y"),
         ]
-
-        standby = _serve(
-            num_nodes=1,
-            log_path=str(tmp_path / "standby.jsonl"),
-            fsync_every=0,
-            primary=("127.0.0.1", 1),  # never connected; fed directly
-        )
-        try:
-
-            async def feed(service):
-                for rec in confirmed:
-                    service.core.apply_record(rec)
-
-            standby.call(feed)
-            emitted = standby.promote()
-            assert [(v["name"], v["watch_seq"]) for v in emitted] == [
-                ("w", 1)
+        for out_of_order in (False, True):
+            primary_core = MonitorCore(3)
+            primary_core.submit_watch("w", "R1(X, Y)")
+            if out_of_order:
+                for name in ("Y", "X", "X"):
+                    primary_core.submit_close(name, expected=2)
+                for i in (3, 1, 2):
+                    assert primary_core.submit_event(events[i]) == []
+                assert primary_core.pending() == 6
+                primary_core.submit_event(events[0])  # unwinds the chain
+            else:
+                for ev in events:
+                    primary_core.submit_event(ev)
+                primary_core.submit_close("X", expected=2)
+                primary_core.submit_close("Y", expected=2)
+            assert primary_core.pending() == 0
+            records = primary_core.records_from(0)
+            assert [
+                r["passed"] for r in records if r["op"] == "verdict"
+            ] == [True]
+            # the standby owns its own init record (seq 1); the verdict
+            # record died with the primary
+            confirmed = [
+                r for r in records if r["op"] not in ("verdict", "init")
             ]
-            assert standby.stats()["verdicts_emitted"] == 1
-        finally:
-            standby.stop()
+
+            standby = _serve(
+                num_nodes=3,
+                log_path=str(tmp_path / f"standby-{out_of_order}.jsonl"),
+                fsync_every=0,
+                primary=("127.0.0.1", 1),  # never connected; fed directly
+            )
+            try:
+
+                async def feed(service, confirmed=confirmed):
+                    for rec in confirmed:
+                        service.core.apply_record(rec)
+
+                standby.call(feed)
+                emitted = standby.promote()
+                assert [
+                    (v["name"], v["watch_seq"], v["passed"]) for v in emitted
+                ] == [("w", 1, True)]
+                assert standby.stats()["verdicts_emitted"] == 1
+            finally:
+                standby.stop()
 
 
 # ----------------------------------------------------------------------
