@@ -45,7 +45,7 @@ import numpy as np
 from ..events.clocks import CyclicTraceError
 from ..events.event import EventId
 from .base import CausalityBackend, register_backend
-from .stats import CutStats, flatten_extrema
+from .stats import CutStats, extrema_matrices, flatten_extrema
 
 if TYPE_CHECKING:
     from ..events.poset import Execution
@@ -372,11 +372,9 @@ class ReachabilityBackend(CausalityBackend):
         c2 = np.maximum.reduceat(fwd_last, starts, axis=0)
         c3 = beyond - np.maximum.reduceat(rev_first, starts, axis=0)
         c4 = beyond - np.minimum.reduceat(rev_last, starts, axis=0)
-        first = np.zeros((k, num_nodes), dtype=np.int64)
-        last = np.zeros((k, num_nodes), dtype=np.int64)
-        row_of = np.repeat(np.arange(k, dtype=np.intp), counts)
-        first[row_of, nodes] = first_idx
-        last[row_of, nodes] = last_idx
+        first, last = extrema_matrices(
+            nodes, first_idx, last_idx, counts, num_nodes
+        )
         for mat in (c1, c2, c3, c4, first, last):
             mat.setflags(write=False)
         return CutStats(c1, c2, c3, c4, first, last)

@@ -6,8 +6,10 @@ state the vectorized relation conditions consume.  The segmented
 gather-and-reduce kernel :func:`_stats_from_extrema` operates on
 *columnar clock matrices* and therefore belongs to the vector-clock
 substrate; it is kept here, next to :func:`flatten_extrema` (the
-shared front half of every backend's batched fill), so the flattening
-layout and the kernel that consumes it cannot drift apart.
+shared front half of every backend's batched fill) and
+:func:`extrema_matrices` (its scatter into per-node first/last
+matrices), so the flattening layout and the kernels that consume it
+cannot drift apart.
 """
 
 from __future__ import annotations
@@ -20,12 +22,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..events.clocks import CLOCK_DTYPE
 
 if TYPE_CHECKING:
     from ..nonatomic.event import NonatomicEvent
 
 __all__ = [
+    "CLOCK_DTYPE",
     "CutStats",
+    "extrema_matrices",
     "flatten_extrema",
 ]
 
@@ -87,6 +92,29 @@ def flatten_extrema(
     return nodes, first_idx, last_idx, counts
 
 
+def extrema_matrices(
+    nodes: np.ndarray,
+    first_idx: np.ndarray,
+    last_idx: np.ndarray,
+    counts: np.ndarray,
+    num_nodes: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scatter :func:`flatten_extrema` output into ``(k, P)`` matrices.
+
+    Returns the per-node ``first`` and ``last`` component indices of
+    each of the k intervals, int64, with 0 encoding "node not in
+    ``N_X``" (real indices start at 1) — the layout of
+    :attr:`CutStats.first`/:attr:`CutStats.last`.
+    """
+    k = len(counts)
+    first = np.zeros((k, num_nodes), dtype=np.int64)
+    last = np.zeros((k, num_nodes), dtype=np.int64)
+    row_of = np.repeat(np.arange(k, dtype=np.intp), counts)
+    first[row_of, nodes] = first_idx
+    last[row_of, nodes] = last_idx
+    return first, last
+
+
 def _stats_from_extrema(
     fwd: np.ndarray,
     rev: np.ndarray,
@@ -120,11 +148,9 @@ def _stats_from_extrema(
     c2 = np.maximum.reduceat(fwd[li], starts, axis=0).astype(np.int64)
     c3 = beyond - np.maximum.reduceat(rev[fi], starts, axis=0)
     c4 = beyond - np.minimum.reduceat(rev[li], starts, axis=0)
-    first = np.zeros((k, num_nodes), dtype=np.int64)
-    last = np.zeros((k, num_nodes), dtype=np.int64)
-    row_of = np.repeat(np.arange(k, dtype=np.intp), counts)
-    first[row_of, nodes] = first_idx
-    last[row_of, nodes] = last_idx
+    first, last = extrema_matrices(
+        nodes, first_idx, last_idx, counts, num_nodes
+    )
     for mat in (c1, c2, c3, c4, first, last):
         mat.setflags(write=False)
     return CutStats(c1, c2, c3, c4, first, last)

@@ -14,10 +14,13 @@ comparing the three evaluation strategies.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from operator import itemgetter
+from typing import TypeVar
 
 import numpy as np
 
+from ..backends.stats import extrema_matrices, flatten_extrema
 from ..events.event import EventId
 from ..events.poset import Execution
 from ..nonatomic.event import NonatomicEvent
@@ -54,6 +57,8 @@ _N_CUT_PAIR = sum(
 #: :data:`~repro.core.relations.SUBTEST_COLUMNS`.
 VerdictRow = tuple[bool, ...]
 
+_T = TypeVar("_T")
+
 #: spec → verdict-row column, precomputed for the whole query surface so
 #: family readers are pure tuple indexing (zero canonicalisation work).
 _FAMILY_COLS: tuple[tuple[RelationSpec, int], ...] = tuple(
@@ -63,24 +68,188 @@ _BASE_COLS: tuple[tuple[Relation, int], ...] = tuple(
     (rel, SUBTEST_COLUMNS[subtest_key(rel)]) for rel in BASE_RELATIONS
 )
 
-#: verdict row → maximal true specs.  ``maximal_true`` is a pure
-#: function of the 24-bool row (and costs ~0.2 ms of hierarchy walking),
-#: so :meth:`SynchronizationAnalyzer.strongest` memoizes it globally —
-#: real executions exhibit few distinct rows.  Bounded; reset on
-#: overflow.
+#: Per-verdict-row memos: the family and base template dicts of a row
+#: (handed out as copies) and the maximal true specs of a row
+#: (``maximal_true`` costs ~0.2 ms of hierarchy walking).  Each is a pure
+#: function of the 24-bool row, and real executions exhibit few distinct
+#: rows, so they are kept globally.  Bounded; reset on overflow.
+_FAMILY_TEMPLATES: dict[VerdictRow, dict[RelationSpec, bool]] = {}
+_BASE_TEMPLATES: dict[VerdictRow, dict[Relation, bool]] = {}
 _STRONGEST_MEMO: dict[VerdictRow, tuple[RelationSpec, ...]] = {}
-_STRONGEST_MEMO_LIMIT = 4096
+_ROW_MEMO_LIMIT = 4096
+
+
+def _family_template(row: VerdictRow) -> dict[RelationSpec, bool]:
+    """The ``spec -> verdict`` dict of the 32 family specs of ``row``;
+    shared, so callers hand out copies (C-level, hashing nothing)."""
+    template = _FAMILY_TEMPLATES.get(row)
+    if template is None:
+        if len(_FAMILY_TEMPLATES) >= _ROW_MEMO_LIMIT:
+            _FAMILY_TEMPLATES.clear()
+        template = _FAMILY_TEMPLATES[row] = {
+            spec: row[col] for spec, col in _FAMILY_COLS
+        }
+    return template
+
+
+def _base_template(row: VerdictRow) -> dict[Relation, bool]:
+    """The shared ``relation -> verdict`` dict of the 8 base relations
+    of ``row``."""
+    template = _BASE_TEMPLATES.get(row)
+    if template is None:
+        if len(_BASE_TEMPLATES) >= _ROW_MEMO_LIMIT:
+            _BASE_TEMPLATES.clear()
+        template = _BASE_TEMPLATES[row] = {
+            rel: row[col] for rel, col in _BASE_COLS
+        }
+    return template
 
 
 def _strongest_of_row(row: VerdictRow) -> tuple[RelationSpec, ...]:
     cached = _STRONGEST_MEMO.get(row)
     if cached is None:
-        if len(_STRONGEST_MEMO) >= _STRONGEST_MEMO_LIMIT:
+        if len(_STRONGEST_MEMO) >= _ROW_MEMO_LIMIT:
             _STRONGEST_MEMO.clear()
-        cached = _STRONGEST_MEMO[row] = maximal_true(
-            {spec: row[col] for spec, col in _FAMILY_COLS}
-        )
+        cached = _STRONGEST_MEMO[row] = maximal_true(_family_template(row))
     return cached
+
+
+def _per_row(
+    fn: Callable[[VerdictRow], _T], rows: list[VerdictRow]
+) -> list[_T]:
+    """``[fn(row) for row in rows]``, calling ``fn`` once per distinct
+    row and reading the rest through C-level ``map``s."""
+    of = {row: fn(row) for row in set(rows)}
+    return list(map(of.__getitem__, rows))
+
+
+#: Row ``i`` of a ``(Q, 24)`` verdict matrix packs to the integer
+#: ``matrix[i] @ _ROW_WEIGHTS``: equal codes, equal rows.
+_ROW_WEIGHTS = np.left_shift(1, np.arange(N_SUBTESTS, dtype=np.int64))
+
+
+def _row_of_code(code: int) -> VerdictRow:
+    """The verdict row packed into ``code`` (see :data:`_ROW_WEIGHTS`)."""
+    return tuple(bool(code >> col & 1) for col in range(N_SUBTESTS))
+
+
+#: Batch size from which :func:`_by_identity` uses NumPy.  Measured
+#: (2-core x86_64, numpy 2.4): the two paths tie between 128 and 256
+#: objects; at 2 objects the dict passes take 2 us against NumPy's
+#: 12 us, at 32,512 objects 6.5 ms against 3.3 ms.
+_NUMPY_MIN = 256
+
+#: When :meth:`SynchronizationAnalyzer._check_pairs` runs the range
+#: test.  It costs 5-9 us per distinct interval; the exact test of a
+#: pair costs one set probe (8-28 ns) per id of its smaller interval
+#: (2-core x86_64, CPython 3.11; 24-id and 250-id intervals).  So the
+#: range test pays once the batch's exact test would probe more than
+#: about 215-750 ids per distinct interval: all-pairs batches of large
+#: intervals (crossover at 1 pair per interval) but not small batches
+#: of small ones (crossover at 25-30 pairs per interval).
+_RANGE_TEST_IDS_PER_INTERVAL = 400
+#: Bound on the ``(k, k, P)`` temporaries of :func:`_range_overlaps`
+#: (elements; a few MB); a batch over more distinct intervals sends
+#: every pair to the exact test.
+_RANGE_TEST_MAX = 1 << 22
+
+
+def _columns(rows: Sequence[Sequence[_T]], width: int) -> list[list[_T]]:
+    """The columns of a batch of pairs or queries, as lists.
+
+    ``zip(*rows)`` would allocate one tracked iterator per row, enough
+    to set off several collections of the garbage collector on a large
+    batch; ``itemgetter`` maps allocate nothing per row.
+    """
+    return [list(map(itemgetter(i), rows)) for i in range(width)]
+
+
+#: A planned batch: distinct intervals, then per-pair X and Y rows.
+_Plan = tuple[list[NonatomicEvent], np.ndarray, np.ndarray]
+
+
+def _by_identity(objs: Sequence[_T]) -> tuple[list[_T], np.ndarray]:
+    """The distinct objects of ``objs`` by identity, in first occurrence
+    order, and each element's index into them; no per-element hashing
+    of the objects themselves.
+
+    Small inputs take two dict passes over the ``id()``s; from
+    :data:`_NUMPY_MIN` elements on, one NumPy ``unique`` is cheaper per
+    element than a dict and its fixed cost no longer shows.
+    """
+    n = len(objs)
+    if n < _NUMPY_MIN:
+        first = dict(zip(map(id, objs), objs, strict=True))
+        rank = {key: r for r, key in enumerate(first)}
+        return list(first.values()), np.fromiter(
+            map(rank.__getitem__, map(id, objs)), np.intp, count=n
+        )
+    _ids, first_at, inverse = np.unique(
+        np.fromiter(map(id, objs), np.intp, count=n),
+        return_index=True, return_inverse=True,
+    )
+    order = np.argsort(first_at)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order), dtype=np.intp)
+    return [objs[i] for i in first_at[order].tolist()], rank[inverse]
+
+
+def _plan_pairs(
+    xs_side: Sequence[NonatomicEvent], ys_side: Sequence[NonatomicEvent]
+) -> _Plan:
+    """The planning pass of every batch surface.
+
+    Maps Q ordered pairs, given as their X side and Y side, to the
+    distinct intervals they read — one per component id set, in first
+    occurrence order — and the length-Q ``xs``/``ys`` row-index arrays
+    into that list.  Only the distinct interval objects are looked up
+    by id set.
+    """
+    objs, obj_of = _by_identity((*xs_side, *ys_side))
+    row_of_ids: dict[frozenset[EventId], int] = {}
+    intervals: list[NonatomicEvent] = []
+    obj_rows = np.empty(len(objs), dtype=np.intp)
+    for j, z in enumerate(objs):
+        row = obj_rows[j] = row_of_ids.setdefault(z.ids, len(intervals))
+        if row == len(intervals):
+            intervals.append(z)
+    rows = obj_rows[obj_of]
+    n = len(xs_side)
+    return intervals, rows[:n], rows[n:]
+
+
+def _compact(
+    intervals: list[NonatomicEvent], xs: np.ndarray, ys: np.ndarray
+) -> _Plan:
+    """The plan of a subset of a plan's pairs: only the intervals the
+    ``xs``/``ys`` rows still read, renumbered."""
+    used = np.unique(np.concatenate((xs, ys)))
+    if len(used) == len(intervals):
+        return intervals, xs, ys
+    local = np.empty(len(intervals), dtype=np.intp)
+    local[used] = np.arange(len(used), dtype=np.intp)
+    return [intervals[r] for r in used.tolist()], local[xs], local[ys]
+
+
+def _range_overlaps(
+    intervals: Sequence[NonatomicEvent], num_nodes: int
+) -> np.ndarray:
+    """``(k, k)`` mask: may ``intervals[a]`` and ``intervals[b]`` share
+    an event?
+
+    False is a proof of disjointness: the two intervals' per-node
+    ``[first, last]`` ranges overlap on no node they share.  True only
+    says the ranges overlap somewhere — the events may still interleave
+    without coinciding, which the exact id-set test settles.
+    """
+    first, hi = extrema_matrices(*flatten_extrema(intervals), num_nodes)
+    # an absent node (0) must overlap nothing: its hi of 0 is below
+    # every real index, and its lo is lifted above every one
+    lo = np.where(first == 0, np.iinfo(np.int64).max, first)
+    return (
+        (lo[:, None, :] <= hi[None, :, :]) & (lo[None, :, :] <= hi[:, None, :])
+    ).any(axis=2)
+
 
 SpecLike = str | Relation | RelationSpec
 
@@ -97,7 +266,7 @@ ENGINES = {
 
 @versioned_state(
     version="_version",
-    caches=("_verdicts",),
+    caches=("_verdicts", "_slots"),
     guards=("invalidate", "_fresh"),
 )
 class SharedVerdictCache:
@@ -119,12 +288,19 @@ class SharedVerdictCache:
     (:func:`~repro.core.family.verdict_matrix`): :meth:`fill_pairs`
     fills the missing pairs' operand tensor — **one** batched
     :meth:`~repro.core.context.CutCache.family_operands` call over their
-    distinct intervals — and scatters the resulting ``(pairs, 24)``
-    verdict matrix into the memo in one pass, with zero per-pair Python
-    dispatch.  Entries are keyed
-    to the execution :attr:`~repro.events.poset.Execution.version`;
-    growth drops every verdict, so stale future-side subtests can never
-    be served.
+    distinct intervals — runs the kernel once, packs each verdict row
+    into an integer code, and stores one shared tuple per *distinct*
+    row for every pair that has it, so a batch builds as many tuples as
+    it has distinct rows rather than one per pair.  :meth:`rows` is the
+    batch surfaces' bulk read.
+
+    Each distinct interval (component id set) gets a small integer
+    slot, and a pair is keyed by the integer ``slot(X) << 32 | slot(Y)``:
+    keys of a whole batch come from one NumPy expression over its
+    :func:`_plan_pairs` rows, and no per-pair key object is built.
+    Entries are keyed to the execution
+    :attr:`~repro.events.poset.Execution.version`; growth drops every
+    verdict, so stale future-side subtests can never be served.
 
     Attributes
     ----------
@@ -144,7 +320,7 @@ class SharedVerdictCache:
     """
 
     __slots__ = ("context", "proxy_definition", "_version", "_verdicts",
-                 "evals", "cut_pair_evals", "hits", "fills")
+                 "_slots", "evals", "cut_pair_evals", "hits", "fills")
 
     def __init__(
         self,
@@ -154,9 +330,8 @@ class SharedVerdictCache:
         self.context = AnalysisContext.of(context)
         self.proxy_definition = proxy_definition
         self._version = self.context.execution.version
-        self._verdicts: dict[
-            tuple[frozenset[EventId], frozenset[EventId]], VerdictRow
-        ] = {}
+        self._verdicts: dict[int, VerdictRow] = {}
+        self._slots: dict[frozenset[EventId], int] = {}
         self.evals = 0
         self.cut_pair_evals = 0
         self.hits = 0
@@ -165,6 +340,7 @@ class SharedVerdictCache:
     def invalidate(self) -> None:
         """Drop every verdict row; re-arm on current version."""
         self._verdicts.clear()
+        self._slots.clear()
         self._version = self.context.execution.version
 
     def _fresh(self) -> None:
@@ -177,8 +353,21 @@ class SharedVerdictCache:
         self._fresh()
         return len(self._verdicts)
 
+    def _keys(self, plan: _Plan) -> np.ndarray:
+        """The pair keys of a plan's pairs (new intervals get slots)."""
+        self._fresh()
+        intervals, xs, ys = plan
+        slots = self._slots
+        slot = np.fromiter(
+            (slots.setdefault(z.ids, len(slots)) for z in intervals),
+            np.int64, count=len(intervals),
+        )
+        return (slot[xs] << 32) | slot[ys]
+
     def fill_pairs(
-        self, pairs: Sequence[tuple[NonatomicEvent, NonatomicEvent]]
+        self,
+        pairs: Sequence[tuple[NonatomicEvent, NonatomicEvent]],
+        plan: "_Plan | None" = None,
     ) -> None:
         """Batch-fill the verdict rows of every not-yet-cached pair.
 
@@ -187,43 +376,62 @@ class SharedVerdictCache:
         **one** batched :meth:`~repro.core.context.CutCache.family_operands`
         call, the tensor is pushed through
         :func:`~repro.core.family.verdict_matrix` once, and the
-        ``(pairs, 24)`` result is scattered into the memo.  Already-
-        cached pairs are skipped without touching the counters.
+        ``(pairs, 24)`` result's distinct rows become one tuple each,
+        stored for every pair with that row.  Already-cached pairs are
+        skipped without touching the counters.  ``plan`` is
+        ``_plan_pairs`` of ``pairs``, when the caller already has it.
         """
         self._fresh()
+        if not len(pairs):
+            return
+        if plan is None:
+            plan = _plan_pairs(*_columns(pairs, 2))
+        keys = self._keys(plan).tolist()
+        todo = dict(zip(keys, range(len(keys)), strict=True))  # distinct pairs
         verdicts = self._verdicts
-        todo: dict[
-            tuple[frozenset[EventId], frozenset[EventId]],
-            tuple[NonatomicEvent, NonatomicEvent],
-        ] = {}
-        for x, y in pairs:
-            pk = (x.ids, y.ids)
-            if pk not in verdicts and pk not in todo:
-                todo[pk] = (x, y)
+        for key in verdicts.keys() & todo.keys():  # already cached
+            del todo[key]
         if not todo:
             return
-        row_of: dict[frozenset[EventId], int] = {}
-        intervals: list[NonatomicEvent] = []
-        for x, y in todo.values():
-            for z in (x, y):
-                if z.ids not in row_of:
-                    row_of[z.ids] = len(intervals)
-                    intervals.append(z)
+        intervals, xs, ys = plan
+        if len(todo) < len(keys):  # duplicates or cached pairs left out
+            at = np.fromiter(todo.values(), np.intp, count=len(todo))
+            intervals, xs, ys = _compact(intervals, xs[at], ys[at])
         ops = self.context.cut_cache.family_operands(
             intervals, self.proxy_definition
         )
-        xs = np.fromiter(
-            (row_of[kx] for kx, _ky in todo), np.intp, count=len(todo)
-        )
-        ys = np.fromiter(
-            (row_of[ky] for _kx, ky in todo), np.intp, count=len(todo)
-        )
-        matrix = verdict_matrix(ops, xs, ys)
-        for pk, row in zip(todo, matrix, strict=True):
-            verdicts[pk] = tuple(row.tolist())
+        codes = (verdict_matrix(ops, xs, ys) @ _ROW_WEIGHTS).tolist()
+        rows = {code: _row_of_code(code) for code in set(codes)}
+        verdicts.update(zip(todo, map(rows.__getitem__, codes), strict=True))
         self.fills += 1
         self.evals += N_SUBTESTS * len(todo)
         self.cut_pair_evals += _N_CUT_PAIR * len(todo)
+
+    def rows(
+        self,
+        pairs: Sequence[tuple[NonatomicEvent, NonatomicEvent]],
+        plan: "_Plan | None" = None,
+    ) -> list[VerdictRow]:
+        """The verdict rows of ``pairs``, in input order, in one bulk read.
+
+        Missing pairs are filled first by one :meth:`fill_pairs`; every
+        pair read counts one :attr:`hits`, as a :meth:`verdict_row` read
+        of a filled pair does.  Pairs sharing a row share its tuple.
+        ``plan`` is ``_plan_pairs`` of ``pairs``, when the caller
+        already has it.
+        """
+        self._fresh()
+        if not len(pairs):
+            return []
+        if plan is None:
+            plan = _plan_pairs(*_columns(pairs, 2))
+        keys = self._keys(plan).tolist()
+        out = list(map(self._verdicts.get, keys))
+        if None in out:
+            self.fill_pairs(pairs, plan)
+            out = list(map(self._verdicts.__getitem__, keys))
+        self.hits += len(out)
+        return out
 
     def verdict_row(
         self, x: NonatomicEvent, y: NonatomicEvent
@@ -235,11 +443,14 @@ class SharedVerdictCache:
         pre-fill, making every subsequent read a hit).
         """
         self._fresh()
-        pk = (x.ids, y.ids)
-        row = self._verdicts.get(pk)
+        sx = self._slots.get(x.ids)
+        sy = self._slots.get(y.ids)
+        row = None
+        if sx is not None and sy is not None:
+            row = self._verdicts.get(sx << 32 | sy)
         if row is None:
             self.fill_pairs(((x, y),))
-            return self._verdicts[pk]
+            return self._verdicts[self._slots[x.ids] << 32 | self._slots[y.ids]]
         self.hits += 1
         return row
 
@@ -356,11 +567,42 @@ class SynchronizationAnalyzer:
 
     def _check_pair(self, x: NonatomicEvent, y: NonatomicEvent) -> None:
         if self.check_disjoint and not x.is_disjoint(y):
+            names = f" (X={x.name!r}, Y={y.name!r})" if x.name or y.name else ""
             raise ValueError(
-                "X and Y share atomic events; the evaluation conditions are "
-                "exact only for disjoint intervals (pass check_disjoint=False "
-                "to evaluate anyway)"
+                f"X and Y share atomic events{names}; the evaluation "
+                "conditions are exact only for disjoint intervals (pass "
+                "check_disjoint=False to evaluate anyway)"
             )
+
+    def _check_pairs(
+        self,
+        xs_side: Sequence[NonatomicEvent],
+        ys_side: Sequence[NonatomicEvent],
+        plan: _Plan,
+    ) -> None:
+        """:meth:`_check_pair` over a planned batch, in input order.
+
+        The interval-level range test (:func:`_range_overlaps`) proves
+        most pairs disjoint at once; only the pairs it cannot clear pay
+        the exact id-set test, so the first truly overlapping pair is
+        the one reported.  It runs when it is cheaper than exact tests
+        of every pair (see :data:`_RANGE_TEST_IDS_PER_INTERVAL`).
+        """
+        if not self.check_disjoint:
+            return
+        intervals, xs, ys = plan
+        k, num_nodes = len(intervals), self.execution.num_nodes
+        sizes = np.fromiter(map(len, intervals), np.intp, count=k)
+        probes = int(np.minimum(sizes[xs], sizes[ys]).sum())
+        if (probes > _RANGE_TEST_IDS_PER_INTERVAL * k
+                and k * k * num_nodes <= _RANGE_TEST_MAX):
+            suspects = np.flatnonzero(
+                _range_overlaps(intervals, num_nodes)[xs, ys]
+            ).tolist()
+        else:
+            suspects = range(len(xs))
+        for i in suspects:
+            self._check_pair(xs_side[i], ys_side[i])
 
     # ------------------------------------------------------------------
     # Problem 4 (i): one relation
@@ -385,11 +627,13 @@ class SynchronizationAnalyzer:
     ) -> list[bool]:
         """Answer many ``(spec, X, Y)`` queries, batched.
 
-        One planning pass gives every distinct interval one row of a
-        ``(k, 12, P)`` family operand tensor per proxy definition it is
-        read under — per-node for base relations, the analyzer's
-        :attr:`proxy_definition` for family specs — and groups the
-        queries by subtest key (:func:`~repro.core.relations.subtest_key`).
+        One planning pass (C-level ``map``s over the queries, Python
+        only per distinct interval and spec object) gives every distinct
+        interval one row of a ``(k, 12, P)`` family operand tensor per
+        proxy definition it is read under — per-node for base relations,
+        the analyzer's :attr:`proxy_definition` for family specs — and
+        groups the queries by subtest key
+        (:func:`~repro.core.relations.subtest_key`).
         Each needed tensor costs one batched
         :meth:`~repro.core.context.CutCache.family_operands` fill (a
         single fill when both definitions coincide), and each group one
@@ -406,67 +650,53 @@ class SynchronizationAnalyzer:
           :class:`ComparisonCounter` (it is vectorised; count-exact
           experiments should query the scalar path).
         * ``check_disjoint`` applies per query, exactly as in
-          :meth:`holds`.
+          :meth:`holds`: an interval-level range test clears most pairs
+          at once, and the first truly overlapping query in input order
+          raises.
         """
         qs = list(queries)
-        check = self.check_disjoint
-        # proxy definition -> (interval identity -> operand row, rows)
-        tensors: dict[
-            ProxyDefinition,
-            tuple[dict[frozenset[EventId], int], list[NonatomicEvent]],
-        ] = {}
-        # (proxy definition, subtest key) -> (query indices, x rows,
-        # y rows, that definition's row map and intervals)
-        groups: dict[tuple[ProxyDefinition, SubtestKey], tuple] = {}
-        # keyed by the id of the spec object as given (kept alive by
-        # ``qs``): each distinct object is parsed and hashed once
-        group_of_obj: dict[int, tuple] = {}
-        for i, (spec, x, y) in enumerate(qs):
-            if check and not x.ids.isdisjoint(y.ids):
-                self._check_pair(x, y)  # raises with the full message
-            group = group_of_obj.get(id(spec))
-            if group is None:
-                parsed = parse_spec(spec) if isinstance(spec, str) else spec
-                pd = (
-                    ProxyDefinition.PER_NODE
-                    if isinstance(parsed, Relation)
-                    else self.proxy_definition
-                )
-                plan = tensors.get(pd)
-                if plan is None:
-                    plan = tensors[pd] = ({}, [])
-                gkey = (pd, subtest_key(parsed))
-                group = groups.get(gkey)
-                if group is None:
-                    group = groups[gkey] = ([], [], [], *plan)
-                group_of_obj[id(spec)] = group
-            idxs, xs, ys, row_of, intervals = group
-            idxs.append(i)
-            row = row_of.get(x.ids)
-            if row is None:
-                row = row_of[x.ids] = len(intervals)
-                intervals.append(x)
-            xs.append(row)
-            row = row_of.get(y.ids)
-            if row is None:
-                row = row_of[y.ids] = len(intervals)
-                intervals.append(y)
-            ys.append(row)
-
-        cache = self.context.cut_cache
-        ops = {
-            pd: cache.family_operands(intervals, pd)
-            for pd, (_row_of, intervals) in tensors.items()
-        }
-        out: list[bool] = [False] * len(qs)
-        for (pd, key), (idxs, xs, ys, _row_of, _ivs) in groups.items():
-            verdicts = subtest_verdicts(
-                ops[pd], key,
-                np.asarray(xs, dtype=np.intp), np.asarray(ys, dtype=np.intp),
+        if not qs:
+            return []
+        specs, xs_side, ys_side = _columns(qs, 3)
+        plan = _plan_pairs(xs_side, ys_side)
+        self._check_pairs(xs_side, ys_side, plan)
+        intervals, xs, ys = plan
+        # each distinct spec object is parsed and hashed once; its
+        # queries join the (proxy definition, subtest key) group
+        spec_objs, spec_of = _by_identity(specs)
+        groups: dict[tuple[ProxyDefinition, SubtestKey], int] = {}
+        group_of_spec = np.empty(len(spec_objs), dtype=np.intp)
+        for j, spec in enumerate(spec_objs):
+            parsed = parse_spec(spec) if isinstance(spec, str) else spec
+            pd = (
+                ProxyDefinition.PER_NODE
+                if isinstance(parsed, Relation)
+                else self.proxy_definition
             )
-            for i, v in zip(idxs, verdicts.tolist(), strict=True):
-                out[i] = v
-        return out
+            gkey = (pd, subtest_key(parsed))
+            group_of_spec[j] = groups.setdefault(gkey, len(groups))
+        group = group_of_spec[spec_of]
+        out = np.empty(len(qs), dtype=np.bool_)
+        cache = self.context.cut_cache
+        for pd in dict.fromkeys(pd for pd, _key in groups):
+            mine = {key: g for (p, key), g in groups.items() if p is pd}
+            # the operand tensor covers just the intervals pd's queries
+            # read, so a Definition-3 proxy is never built for an
+            # interval that only base relations read
+            if len(mine) == len(groups):
+                sel = np.arange(len(qs), dtype=np.intp)
+                pd_intervals, pd_xs, pd_ys = plan
+            else:
+                sel = np.flatnonzero(np.isin(group, list(mine.values())))
+                pd_intervals, pd_xs, pd_ys = _compact(
+                    intervals, xs[sel], ys[sel]
+                )
+            ops = cache.family_operands(pd_intervals, pd)
+            pd_group = group[sel]
+            for key, g in mine.items():
+                at = np.flatnonzero(pd_group == g)
+                out[sel[at]] = subtest_verdicts(ops, key, pd_xs[at], pd_ys[at])
+        return out.tolist()
 
     def _engine_holds(
         self,
@@ -490,8 +720,7 @@ class SynchronizationAnalyzer:
         vc = self._verdict_cache
         if vc is None:
             return {r: self._engine_holds(r, x, y) for r in BASE_RELATIONS}
-        row = vc.verdict_row(x, y)
-        return {r: row[c] for r, c in _BASE_COLS}
+        return _base_template(vc.verdict_row(x, y)).copy()
 
     def all_relations(
         self,
@@ -525,8 +754,7 @@ class SynchronizationAnalyzer:
             return {
                 spec: self._engine_holds(spec, x, y) for spec in FAMILY32
             }
-        row = vc.verdict_row(x, y)
-        return {spec: row[c] for spec, c in _FAMILY_COLS}
+        return _family_template(vc.verdict_row(x, y)).copy()
 
     def strongest(
         self, x: NonatomicEvent, y: NonatomicEvent
@@ -549,15 +777,17 @@ class SynchronizationAnalyzer:
     # ------------------------------------------------------------------
     def _fill_family(
         self, pairs: Sequence[tuple[NonatomicEvent, NonatomicEvent]]
-    ) -> "SharedVerdictCache | None":
-        """Validate ``pairs`` and batch-fill their verdict rows (cached
-        configurations); returns the cache, or ``None`` on bypass."""
-        for x, y in pairs:
-            self._check_pair(x, y)
+    ) -> "list[VerdictRow] | None":
+        """Validate ``pairs`` (one planning pass, one range check) and,
+        on cached configurations, bulk-read their verdict rows (filling
+        the missing ones in one kernel pass); ``None`` on bypass."""
         vc = self._verdict_cache
-        if vc is not None:
-            vc.fill_pairs(pairs)
-        return vc
+        if not pairs or (vc is None and not self.check_disjoint):
+            return None if vc is None else []
+        xs_side, ys_side = _columns(pairs, 2)
+        plan = _plan_pairs(xs_side, ys_side)
+        self._check_pairs(xs_side, ys_side, plan)
+        return None if vc is None else vc.rows(pairs, plan)
 
     def all_relations_batch(
         self, pairs: Iterable[tuple[NonatomicEvent, NonatomicEvent]]
@@ -567,21 +797,19 @@ class SynchronizationAnalyzer:
         On the cached configuration every missing pair is answered by
         **one** batched operand gather + one
         :func:`~repro.core.family.verdict_matrix` pass (all 24 subtests
-        × all pairs), then scattered; results align with the input
-        order and are identical to per-pair :meth:`all_relations`.
-        Bypass configurations fall back to the scalar loop.
+        × all pairs); each pair then gets its own copy of its verdict
+        row's template dict.  Results align with the input order and
+        are identical to per-pair :meth:`all_relations`.  Bypass
+        configurations fall back to the scalar loop.
         """
         seq = list(pairs)
-        vc = self._fill_family(seq)
-        if vc is None:
+        rows = self._fill_family(seq)
+        if rows is None:
             return [
                 {spec: self._engine_holds(spec, x, y) for spec in FAMILY32}
                 for x, y in seq
             ]
-        return [
-            {spec: row[c] for spec, c in _FAMILY_COLS}
-            for row in (vc.verdict_row(x, y) for x, y in seq)
-        ]
+        return list(map(dict.copy, _per_row(_family_template, rows)))
 
     def base_relations_batch(
         self, pairs: Iterable[tuple[NonatomicEvent, NonatomicEvent]]
@@ -589,16 +817,13 @@ class SynchronizationAnalyzer:
         """:meth:`base_relations` for many ordered pairs at once
         (one kernel pass on the cached configuration)."""
         seq = list(pairs)
-        vc = self._fill_family(seq)
-        if vc is None:
+        rows = self._fill_family(seq)
+        if rows is None:
             return [
                 {r: self._engine_holds(r, x, y) for r in BASE_RELATIONS}
                 for x, y in seq
             ]
-        return [
-            {r: row[c] for r, c in _BASE_COLS}
-            for row in (vc.verdict_row(x, y) for x, y in seq)
-        ]
+        return list(map(dict.copy, _per_row(_base_template, rows)))
 
     def strongest_batch(
         self, pairs: Iterable[tuple[NonatomicEvent, NonatomicEvent]]
@@ -607,10 +832,10 @@ class SynchronizationAnalyzer:
         (one kernel pass + memoized hierarchy walks on the cached
         configuration)."""
         seq = list(pairs)
-        vc = self._fill_family(seq)
-        if vc is None:
+        rows = self._fill_family(seq)
+        if rows is None:
             return [self.strongest(x, y) for x, y in seq]
-        return [_strongest_of_row(vc.verdict_row(x, y)) for x, y in seq]
+        return _per_row(_strongest_of_row, rows)
 
     # ------------------------------------------------------------------
     # all-pairs evaluation

@@ -11,10 +11,11 @@ This module answers them over stacked operands, with no per-pair loop:
   operand tensor — the twelve rows (six stats × two proxies) any subtest
   key can select;
 * :func:`verdict_matrix` answers **all 24 subtest columns for Q ordered
-  pairs** with three fancy-indexed gathers and three comparison +
-  reduction passes, producing the ``(Q, 24)`` boolean verdict matrix
-  that :class:`~repro.core.evaluator.SharedVerdictCache` scatters into
-  its per-pair memo in one pass;
+  pairs**, one slice of :data:`PAIR_SLICE` pairs at a time: per slice,
+  three fancy-indexed gathers and three comparison + reduction passes,
+  producing the ``(Q, 24)`` boolean verdict matrix that
+  :class:`~repro.core.evaluator.SharedVerdictCache` stores, one shared
+  tuple per distinct row;
 * :func:`subtest_verdicts` (one key, Q pairs: the batch planner's
   gather) and :func:`subtest_matrix` (one key, all k² pairs:
   :mod:`repro.core.pairwise`) read the same tensor through a subtest
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backends.stats import CutStats
+from ..backends.stats import CLOCK_DTYPE, CutStats
 from .relations import (
     SUBTEST_COLUMNS,
     SUBTEST_KEYS,
@@ -45,6 +46,7 @@ from .relations import (
 __all__ = [
     "N_OPERANDS",
     "N_SUBTESTS",
+    "PAIR_SLICE",
     "OPERAND_ORDER",
     "OPERAND_INDEX",
     "operand_tensor",
@@ -70,6 +72,13 @@ OPERAND_INDEX: dict[tuple[str, str], int] = {
 
 N_OPERANDS: int = len(OPERAND_ORDER)
 N_SUBTESTS: int = len(SUBTEST_KEYS)
+
+#: Pairs per slice of :func:`verdict_matrix`.  Each per-slice gather is
+#: at most ``(PAIR_SLICE, 12, P)`` ``CLOCK_DTYPE`` words (1.5 MB at
+#: P = 16), so a batch's temporaries stay that size however many pairs
+#: it holds.
+PAIR_SLICE: int = 2048
+
 
 def compare_rows(
     kind: SubtestKind, y: np.ndarray, x: np.ndarray
@@ -142,7 +151,7 @@ def operand_tensor(stats: CutStats) -> np.ndarray:
     if two_k % 2:
         raise ValueError("stats must stack interleaved (L, U) proxy rows")
     k = two_k // 2
-    out = np.empty((k, N_OPERANDS, num_nodes), dtype=np.int64)
+    out = np.empty((k, N_OPERANDS, num_nodes), dtype=CLOCK_DTYPE)
     for stat_i, stat in enumerate(_OPERAND_STATS):
         mat = getattr(stats, stat)
         out[:, 2 * stat_i] = mat[0::2]
@@ -162,17 +171,23 @@ def verdict_matrix(
     matrix whose column ``j`` answers
     ``SUBTEST_KEYS[j]`` (:data:`~repro.core.relations.SUBTEST_COLUMNS`).
 
-    Cost: three ``(Q, group, P)`` gather pairs + three comparison/
-    reduction passes — zero per-pair Python dispatch, ``O(Q · P)``
-    total work for the whole 40-spec query surface.
+    Cost: per slice of :data:`PAIR_SLICE` pairs, three
+    ``(slice, group, P)`` gather pairs + three comparison/reduction
+    passes — zero per-pair Python dispatch, ``O(Q · P)`` total work for
+    the whole 40-spec query surface, and temporaries bounded by the
+    slice rather than by Q.
     """
     xs = np.asarray(xs, dtype=np.intp)
     ys = np.asarray(ys, dtype=np.intp)
     out = np.empty((xs.shape[0], N_SUBTESTS), dtype=np.bool_)
-    for kind, cols, y_ops, x_ops in _GROUPS:
-        y = ops[ys[:, None], y_ops[None, :]]
-        x = ops[xs[:, None], x_ops[None, :]]
-        out[:, cols] = compare_rows(kind, y, x)
+    for lo in range(0, xs.shape[0], PAIR_SLICE):
+        sx = xs[lo:lo + PAIR_SLICE, None]
+        sy = ys[lo:lo + PAIR_SLICE, None]
+        part = out[lo:lo + PAIR_SLICE]
+        for kind, cols, y_ops, x_ops in _GROUPS:
+            part[:, cols] = compare_rows(
+                kind, ops[sy, y_ops[None, :]], ops[sx, x_ops[None, :]]
+            )
     return out
 
 

@@ -285,6 +285,14 @@ class OnlineMonitor:
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
+    def _check_open(self, interval: str | None) -> None:
+        """Refuse a tag into a closed interval *before* the event is
+        appended, so a rejected event leaves no trace or clock row."""
+        if interval is not None:
+            iv = self._intervals.get(interval)
+            if iv is not None and iv.closed:
+                raise ValueError(f"interval {interval!r} is already closed")
+
     def _tag(
         self, eid: EventId, interval: str | None, row: np.ndarray
     ) -> EventId:
@@ -294,8 +302,6 @@ class OnlineMonitor:
                 iv = self._intervals[interval] = OnlineInterval(
                     interval, self._table
                 )
-            if iv.closed:
-                raise ValueError(f"interval {interval!r} is already closed")
             iv.add(eid, row)
         return eid
 
@@ -308,9 +314,10 @@ class OnlineMonitor:
         interval: str | None = None,
     ) -> EventId:
         """Observe an internal event (optionally tagged into an interval)."""
+        self._check_open(interval)
+        eid = self._builder.internal(node, label=label, time=time)
         if time is not None:
             self._now = max(self._now, time)
-        eid = self._builder.internal(node, label=label, time=time)
         row = self._table.advance(node)
         return self._tag(eid, interval, row)
 
@@ -323,9 +330,10 @@ class OnlineMonitor:
         interval: str | None = None,
     ) -> MessageHandle:
         """Observe a send event; returns the handle for its receive."""
+        self._check_open(interval)
+        handle = self._builder.send(node, label=label, time=time)
         if time is not None:
             self._now = max(self._now, time)
-        handle = self._builder.send(node, label=label, time=time)
         row = self._table.advance(node)
         self._tag(handle.send, interval, row)
         return handle
@@ -340,12 +348,13 @@ class OnlineMonitor:
         interval: str | None = None,
     ) -> EventId:
         """Observe the receive matching ``handle``."""
-        if time is not None:
-            self._now = max(self._now, time)
+        self._check_open(interval)
         s_node, s_idx = handle.send
         if s_idx > self._table.count(s_node):
             raise ValueError("receive observed before its send")
         eid = self._builder.recv(node, handle, label=label, time=time)
+        if time is not None:
+            self._now = max(self._now, time)
         row = self._table.advance(node, self._table.row(s_node, s_idx))
         return self._tag(eid, interval, row)
 

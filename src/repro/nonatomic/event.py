@@ -42,14 +42,17 @@ class NonatomicEvent:
 
     Notes
     -----
-    Construction is ``O(|X|)``.  The per-node least and greatest
-    component events (which determine the proxies of Definition 2 and
-    all four cuts of Table 2) are computed eagerly; the cut timestamps
-    themselves are computed lazily by :mod:`repro.core.cuts` and cached
-    on the instance.
+    Construction is ``O(|X|)``: one pass over the ids finds the per-node
+    least and greatest component events (which determine the proxies of
+    Definition 2 and all four cuts of Table 2).  A real event of a node
+    is a contiguous index range, so checking those two events per node
+    against it validates every member; an id outside the range is
+    reported by name.  The cut timestamps themselves are computed
+    lazily by :mod:`repro.core.cuts` and cached on the instance.
     """
 
-    __slots__ = ("_execution", "_ids", "_name", "_first", "_last", "_nodes", "cache")
+    __slots__ = ("_execution", "_ids", "_name", "_first", "_last", "_nodes",
+                 "_first_ids", "_last_ids", "cache")
 
     def __init__(
         self,
@@ -63,20 +66,35 @@ class NonatomicEvent:
         first: dict[int, int] = {}
         last: dict[int, int] = {}
         for node, idx in id_set:
-            if not execution.is_real((node, idx)):
-                raise ValueError(
-                    f"event id {(node, idx)} is not a real event of the execution"
-                )
-            if node not in first or idx < first[node]:
+            lo = first.get(node)
+            if lo is None:
+                first[node] = last[node] = idx
+            elif idx < lo:
                 first[node] = idx
-            if node not in last or idx > last[node]:
+            elif idx > last[node]:
                 last[node] = idx
+        num_nodes = execution.num_nodes
+        lengths = execution.lengths
+        for node, lo in first.items():
+            if not 0 <= node < num_nodes or lo < 1:
+                bad = (node, lo)
+            elif last[node] > lengths[node]:
+                bad = (node, last[node])
+            else:
+                continue
+            raise ValueError(
+                f"event id {bad} is not a real event of the execution"
+            )
         self._execution = execution
         self._ids: frozenset[EventId] = id_set
         self._name = name
         self._first = first
         self._last = last
-        self._nodes: tuple[int, ...] = tuple(sorted(first))
+        self._first_ids: tuple[EventId, ...] = tuple(sorted(first.items()))
+        self._nodes: tuple[int, ...] = tuple(n for n, _ in self._first_ids)
+        self._last_ids: tuple[EventId, ...] = tuple(
+            zip(self._nodes, map(last.__getitem__, self._nodes), strict=True)
+        )
         #: scratch cache used by the cut machinery (Key Idea 1)
         self.cache: dict[Any, Any] = {}
 
@@ -125,11 +143,11 @@ class NonatomicEvent:
 
     def first_ids(self) -> tuple[EventId, ...]:
         """Per-node least component events — ``L_X`` under Definition 2."""
-        return tuple((n, self._first[n]) for n in self._nodes)
+        return self._first_ids
 
     def last_ids(self) -> tuple[EventId, ...]:
         """Per-node greatest component events — ``U_X`` under Definition 2."""
-        return tuple((n, self._last[n]) for n in self._nodes)
+        return self._last_ids
 
     def restrict(self, node: int) -> tuple[EventId, ...]:
         """``X_i = X ∩ E_i``: the component events on ``node``, ordered."""

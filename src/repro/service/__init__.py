@@ -26,7 +26,7 @@ See ``docs/SERVICE.md`` for the protocol and failover semantics, and
 """
 
 from .client import MonitorClient, ServiceError, plan_replay, replay_trace
-from .core import MonitorCore, ShardCounters
+from .core import EventRejected, MonitorCore, ShardCounters
 from .log import EventLog, LogError, read_records
 from .protocol import (
     FrameDecoder,
@@ -38,6 +38,7 @@ from .server import MonitorService, ServiceHandle
 
 __all__ = [
     "EventLog",
+    "EventRejected",
     "FrameDecoder",
     "FrameTooLargeError",
     "LogError",

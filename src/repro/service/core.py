@@ -47,9 +47,24 @@ from ..events.event import EventId
 from ..monitor.online import OnlineMonitor, WatchNotification
 from .log import EventLog, LogError
 
-__all__ = ["MonitorCore", "ShardCounters"]
+__all__ = ["EventRejected", "MonitorCore", "ShardCounters"]
 
 _KINDS = ("internal", "send", "recv")
+
+
+class EventRejected(ValueError):
+    """A queued event the monitor refused when its turn came.
+
+    For instance, a tag into an interval that closed after the event
+    was queued.  The event is dropped: it is not applied or logged, and
+    its shard's ``queued`` count and its session are settled.  Raised
+    to the submitter whose own event it was, once the pump that refused
+    it has finished; :attr:`verdicts` holds what that pump fired.
+    """
+
+    def __init__(self, message: str, verdicts: list[dict[str, Any]]) -> None:
+        super().__init__(message)
+        self.verdicts = verdicts
 
 
 @dataclass
@@ -132,6 +147,8 @@ class MonitorCore:
         self._runnable: deque[int] = deque()
         self._pending_closes: dict[str, list[_PendingClose]] = {}
         self._pending_by_session: dict[int, int] = {}
+        # refused events not yet reported: (session, message)
+        self._rejected: list[tuple[int | None, str]] = []
         self.shards = [ShardCounters() for _ in range(self.num_shards)]
         self._log = log
         self._mem_records: list[dict[str, Any]] = []
@@ -304,7 +321,10 @@ class MonitorCore:
             )
         if self._blocked[node] is None:
             self._runnable.append(node)
-        return self._pump()
+        out = self._pump()
+        if self._rejected:
+            self._raise_own_rejections(session, out)
+        return out
 
     def submit_close(
         self, interval: str, expected: int, session: int | None = None
@@ -328,6 +348,8 @@ class MonitorCore:
             )
         out = self._pump()
         self._check_closes(interval, out)
+        if self._rejected:
+            self._raise_own_rejections(session, out)
         return out
 
     def submit_watch(
@@ -361,6 +383,24 @@ class MonitorCore:
     def session_gone(self, session: int) -> None:
         """Forget per-session accounting after a disconnect."""
         self._pending_by_session.pop(session, None)
+        self._rejected = [r for r in self._rejected if r[0] != session]
+
+    def take_rejections(self) -> list[tuple[int | None, str]]:
+        """The ``(session, message)`` of every refused event not yet
+        reported: events that another submitter's pump reached (a
+        submitter's own refusals raise :class:`EventRejected` instead)."""
+        taken, self._rejected = self._rejected, []
+        return taken
+
+    def _raise_own_rejections(
+        self, session: int | None, out: list[dict[str, Any]]
+    ) -> None:
+        """After a pump: raise :class:`EventRejected`, carrying the
+        pump's verdicts ``out``, if it refused events of ``session``."""
+        mine = [msg for sid, msg in self._rejected if sid == session]
+        if mine:
+            self._rejected = [r for r in self._rejected if r[0] != session]
+            raise EventRejected("; ".join(mine), out)
 
     # ------------------------------------------------------------------
     # the pump
@@ -426,6 +466,14 @@ class MonitorCore:
             queue.popleft()
             try:
                 self._apply_event(rec)
+            except ValueError as exc:
+                # the monitor validates before it appends, so a refused
+                # event left nothing behind: settle it, note it against
+                # its own session, and keep draining
+                shard.queued -= 1
+                self._settle(session)
+                self._rejected.append((session, f"event rejected: {exc}"))
+                continue
             except BaseException:
                 self._runnable.append(node)  # the rest of its queue stays due
                 raise

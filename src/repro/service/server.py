@@ -44,7 +44,7 @@ import threading
 from collections.abc import Callable, Coroutine
 from typing import Any
 
-from .core import MonitorCore
+from .core import EventRejected, MonitorCore
 from .log import EventLog
 from .protocol import (
     MAX_FRAME_BYTES,
@@ -324,6 +324,12 @@ class MonitorService:
     def _after_mutation(self, verdicts: list[dict[str, Any]]) -> None:
         for verdict in verdicts:
             self._broadcast_verdict(verdict)
+        # events of other sessions the pump refused: terminal for them,
+        # as a refused op of their own is
+        for sid, message in self.core.take_rejections():
+            other = self._sessions.get(sid) if sid is not None else None
+            if other is not None:
+                self._cut_session(other, error_frame("rejected", message))
         self._flush_replication()
 
     async def _flush_log(self) -> None:
@@ -490,6 +496,12 @@ class MonitorService:
                         error_frame("bad-frame", f"unknown frame type {ftype!r}"),
                     )
                     return
+            except EventRejected as exc:
+                # this session's own event was refused when its turn
+                # came; the verdicts its pump fired still go out
+                self._after_mutation(exc.verdicts)
+                self._push(sess, error_frame("rejected", str(exc)))
+                return
             except ValueError as exc:
                 # core rejected the op (validation, parse, unknown names):
                 # terminal for the session, reported before the close

@@ -37,6 +37,7 @@ from repro.monitor.checker import ConditionChecker
 from repro.nonatomic.selection import by_label
 from repro.service import (
     EventLog,
+    EventRejected,
     FrameDecoder,
     FrameTooLargeError,
     LogError,
@@ -206,6 +207,82 @@ class TestMonitorCore:
         with pytest.raises(ValueError, match="expected >= 1"):
             core.submit_close("X", expected=0)
 
+    def test_event_into_closed_interval_is_settled(self, tmp_path):
+        """A tag into an interval closed since the event was queued is
+        refused before the monitor appends anything: trace, applied
+        count, log and queue counters agree, and the log replays to the
+        same trace."""
+        path = str(tmp_path / "closed.jsonl")
+        with EventLog(path, fsync_every=0) as log:
+            core = MonitorCore(1, log=log)
+            core.submit_event(_ev(0, interval="X"))
+            core.submit_close("X", expected=1)
+            with pytest.raises(EventRejected, match="already closed"):
+                core.submit_event(_ev(0, interval="X"))
+            trace = core.monitor.to_execution().trace
+            stats = core.stats()
+            events = [r for r in log.records if r["op"] == "event"]
+            assert trace.total_events == stats["events_applied"] == 1
+            assert len(events) == 1
+            assert stats["shards"][0]["queued"] == 0
+            assert core.pending() == 0
+            core.submit_event(_ev(0, interval="Y"))  # the node is not wedged
+            assert core.stats()["events_applied"] == 2
+        replayed = MonitorCore.from_records(read_records(path))
+        assert replayed.monitor.to_execution().trace == \
+            core.monitor.to_execution().trace
+
+    def test_parked_event_into_closed_interval_is_settled(self, tmp_path):
+        """A receive of session 1 tagged into X parks behind its send;
+        X closes; session 2's send wakes it.  The refusal is session 1's:
+        session 2's submit returns the verdicts its pump fired, and the
+        pump drains every other runnable node."""
+        path = str(tmp_path / "parked.jsonl")
+        with EventLog(path, fsync_every=0) as log:
+            core = MonitorCore(3, log=log)
+            core.submit_watch("w", "R4(Y, Y)")
+            core.submit_close("Y", expected=1)
+            core.submit_event(_ev(1, interval="X"), session=1)
+            core.submit_event(
+                _ev(1, "recv", send=[0, 1], interval="X"), session=1
+            )
+            core.submit_event(_ev(2, "recv", send=[0, 1]), session=1)
+            core.submit_close("X", expected=1, session=1)
+            assert core.pending(1) == 2  # both receives parked
+            verdicts = core.submit_event(
+                _ev(0, "send", interval="Y"), session=2
+            )
+            assert [v["name"] for v in verdicts] == ["w"]
+            assert [(sid, "already closed" in msg)
+                    for sid, msg in core.take_rejections()] == [(1, True)]
+            assert core.take_rejections() == []
+            stats = core.stats()
+            trace = core.monitor.to_execution().trace
+            events = [r for r in log.records if r["op"] == "event"]
+            # node 1's event, node 0's send, node 2's receive
+            assert trace.total_events == stats["events_applied"] == 3
+            assert len(events) == 3
+            assert [s["queued"] for s in stats["shards"]] == [0, 0, 0]
+            assert core.pending() == core.pending(1) == core.pending(2) == 0
+        replayed = MonitorCore.from_records(read_records(path))
+        assert replayed.monitor.to_execution().trace == trace
+
+    def test_own_parked_rejection_raises_after_the_pump(self):
+        """The submitter whose own parked event is refused gets
+        EventRejected once the pump is done, with the pump's verdicts."""
+        core = MonitorCore(2)
+        core.submit_watch("w", "R4(Y, Y)")
+        core.submit_close("Y", expected=1)
+        core.submit_event(_ev(1, interval="X"), session=1)
+        core.submit_event(_ev(1, "recv", send=[0, 1], interval="X"), session=1)
+        core.submit_close("X", expected=1, session=1)
+        with pytest.raises(EventRejected, match="already closed") as err:
+            core.submit_event(_ev(0, "send", interval="Y"), session=1)
+        assert [v["name"] for v in err.value.verdicts] == ["w"]
+        assert core.take_rejections() == []
+        assert core.stats()["events_applied"] == 2
+        assert core.pending() == core.pending(1) == 0
+
     def test_watch_seq_monotone(self):
         core = MonitorCore(1)
         for i in range(3):
@@ -350,6 +427,32 @@ class TestLiveService:
                     frames = dec.feed(sock.recv(4096))
                 assert frames[0]["type"] == "error"
                 assert frames[0]["code"] == "version"
+        finally:
+            handle.stop()
+
+    def test_refused_parked_event_ends_its_own_session(self):
+        """A's receive, tagged into X, parks; X closes; B's send wakes
+        it and it is refused.  A gets the ``rejected`` error; B keeps
+        its session and receives the verdict B's send decided."""
+        handle = _serve(num_nodes=2)
+        try:
+            host, port = handle.address
+            with MonitorClient(host, port, num_nodes=2) as a, \
+                    MonitorClient(host, port, num_nodes=2) as b:
+                a.watch("w", "R4(Y, Y)")
+                a.close_interval("Y", 1)
+                a.send_event(1, interval="X")
+                a.send_event(1, "recv", send=[0, 1], interval="X")
+                a.close_interval("X", 1)
+                assert a.stats()["parked"] == 2  # the receive and Y's close
+                b.send_event(0, "send", interval="Y")
+                assert [v["name"] for v in b.wait_verdicts(1)] == ["w"]
+                stats = b.stats()
+                assert stats["events_applied"] == 2 and stats["parked"] == 0
+                with pytest.raises(ServiceError, match="already closed") as err:
+                    a.stats()
+                assert err.value.code == "rejected"
+                assert [v["name"] for v in a.verdicts] == ["w"]
         finally:
             handle.stop()
 
